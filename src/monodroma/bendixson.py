@@ -16,22 +16,30 @@ that is where the injectivity certificate looks.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
+from typing import Iterable
 
-from .polycore import BivarPoly
+from .polycore import Monomial, _check_exponent, _from_integer_terms, _integer_terms
 from .field import PlanarField, ZERO_FIELD
+
+# Multipliers as (u-exponent, v-exponent, coefficient) terms.
+_VV_MINUS_UU = ((0, 2, 1), (2, 0, -1))
+_UU_MINUS_VV = ((2, 0, 1), (0, 2, -1))
+_MINUS_TWO_UV = ((1, 1, -2),)
 
 
 class DegenerateTransformError(ValueError):
     """Compactification of a nonzero constant field is not defined."""
 
 
-def _star(component: BivarPoly, d: int, circle: BivarPoly) -> BivarPoly:
-    """(u^2+v^2)^d * component(u/(u^2+v^2), v/(u^2+v^2)), exactly."""
-    acc = BivarPoly.zero()
-    for k, part in component.homogeneous_components():
-        acc = acc + part * circle ** (d - k)
-    return acc
+def _add_product(acc: dict[Monomial, int], terms: Iterable[tuple[Monomial, int]],
+                 multiplier: Iterable[tuple[int, int, int]]) -> None:
+    """acc += terms * multiplier, on integer term dicts."""
+    get = acc.get
+    for (i, j), c in terms:
+        for di, dj, w in multiplier:
+            key = (i + di, j + dj)
+            acc[key] = get(key, 0) + c * w
 
 
 def compactify(x_field: PlanarField) -> PlanarField:
@@ -39,6 +47,10 @@ def compactify(x_field: PlanarField) -> PlanarField:
 
     A nonzero constant field is rejected: with d = 0 the time rescaling
     cannot absorb the inversion and the transform degenerates.
+
+    Degree by degree, A_k = (v^2-u^2) P_k - 2uv Q_k and
+    B_k = (u^2-v^2) Q_k - 2uv P_k are multiplied by (u^2+v^2)^(d-k) through
+    its binomial coefficients, in integers over one common denominator.
     """
     if x_field.is_zero:
         return ZERO_FIELD
@@ -46,72 +58,25 @@ def compactify(x_field: PlanarField) -> PlanarField:
     if d == 0:
         raise DegenerateTransformError(
             "cannot compactify a nonzero constant field (degree 0)")
-    u = BivarPoly.monomial(1, 0)
-    v = BivarPoly.monomial(0, 1)
-    circle = u * u + v * v
-    p_star = _star(x_field.p, d, circle)
-    q_star = _star(x_field.q, d, circle)
-    vv_uu = v * v - u * u
-    two_uv = u * v * 2
-    return PlanarField(
-        vv_uu * p_star - two_uv * q_star,
-        -vv_uu * q_star - two_uv * p_star,
-    )
-
-
-def _pair_piece(fi: BivarPoly, fj: BivarPoly, gi: BivarPoly, gj: BivarPoly,
-                power: int, circle: BivarPoly) -> PlanarField:
-    """Compactified contribution of one pair of homogeneous map components."""
-    s = fi * fj + gi * gj
-    if s.is_zero:
-        return ZERO_FIELD
-    u = BivarPoly.monomial(1, 0)
-    v = BivarPoly.monomial(0, 1)
-    uu_vv = u * u - v * v
-    two_uv = u * v * 2
-    pre = circle ** power
-    return PlanarField(
-        pre * (uu_vv * s.partial(1) - two_uv * s.partial(0)),
-        pre * (uu_vv * s.partial(0) + two_uv * s.partial(1)),
-    )
-
-
-def map_degree(f: BivarPoly, g: BivarPoly) -> int:
-    """max(deg f, deg g) over the nonzero components; error if both zero."""
-    return PlanarField(f, g).degree()
-
-
-def pair_component(f: BivarPoly, g: BivarPoly, i: int, j: int) -> PlanarField:
-    """Compactified piece coming from degrees (i, j) of the map.
-
-    Summing 1/2 * piece(i, i) over i plus piece(i, j) over i < j rebuilds
-    b(X) for the Hamiltonian field of ((f^2 + g^2)/2); the diagonal sum
-    alone is the diagonal part.
-    """
-    d = map_degree(f, g)
-    parts_f = dict(f.homogeneous_components())
-    parts_g = dict(g.homogeneous_components())
-    u = BivarPoly.monomial(1, 0)
-    v = BivarPoly.monomial(0, 1)
-    circle = u * u + v * v
-    zero = BivarPoly.zero()
-    return _pair_piece(
-        parts_f.get(i, zero), parts_f.get(j, zero),
-        parts_g.get(i, zero), parts_g.get(j, zero),
-        2 * d - i - j, circle,
-    )
-
-
-def diagonal_part(f: BivarPoly, g: BivarPoly) -> PlanarField:
-    """Diagonal part of b(X): 1/2 of the sum of the pure-degree pieces.
-
-    It shares its Newton diagram vertices with the full compactified field,
-    which makes it a cheap structural cross-check.
-    """
-    d = map_degree(f, g)
-    acc_p, acc_q = BivarPoly.zero(), BivarPoly.zero()
-    for i in range(1, d + 1):
-        piece = pair_component(f, g, i, i)
-        acc_p = acc_p + piece.p
-        acc_q = acc_q + piece.q
-    return PlanarField(acc_p * Fraction(1, 2), acc_q * Fraction(1, 2))
+    (p, q), den = _integer_terms(x_field.p, x_field.q)
+    # The largest exponent formed: a term of degree k gains 2(d - k) from
+    # the circle power and at most 2 from its multiplier.
+    _check_exponent(max(max(i, j) + 2 * (d - i - j) for terms in (p, q) for i, j in terms) + 2)
+    parts: dict[int, tuple[dict[Monomial, int], dict[Monomial, int]]] = {}
+    for side, terms in enumerate((p, q)):
+        for (i, j), c in terms.items():
+            parts.setdefault(i + j, ({}, {}))[side][(i, j)] = c
+    out_p: dict[Monomial, int] = {}
+    out_q: dict[Monomial, int] = {}
+    for k, (p_k, q_k) in parts.items():
+        a_k: dict[Monomial, int] = {}
+        b_k: dict[Monomial, int] = {}
+        _add_product(a_k, p_k.items(), _VV_MINUS_UU)
+        _add_product(a_k, q_k.items(), _MINUS_TWO_UV)
+        _add_product(b_k, q_k.items(), _UU_MINUS_VV)
+        _add_product(b_k, p_k.items(), _MINUS_TWO_UV)
+        m = d - k
+        circle = [(2 * s, 2 * (m - s), comb(m, s)) for s in range(m + 1)]
+        _add_product(out_p, a_k.items(), circle)
+        _add_product(out_q, b_k.items(), circle)
+    return PlanarField(_from_integer_terms(out_p, den), _from_integer_terms(out_q, den))

@@ -17,23 +17,25 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .polycore import BivarPoly, QuasiType, quasi_type
-from .field import PlanarField, SplitField, SupportPoint, quasi_field_components, split, support
+from .field import PlanarField, SplitField, SupportPoint, split, support
 
 
 def newton_chain(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Vertices of the Newton diagram of a set of lattice points.
 
-    Pareto-dominated points cannot be vertices and are dropped first; the
-    survivors form a staircase on which a monotone-chain sweep keeps the
-    strictly convex turns.  A single vertex is a valid (degenerate) chain.
+    Pareto-dominated points cannot be vertices and are dropped first: in
+    sorted order a point survives exactly when its y is strictly below that
+    of the last survivor.  The survivors form a staircase on which a
+    monotone-chain sweep keeps the strictly convex turns.  A single vertex
+    is a valid (degenerate) chain.
     """
-    pts = set(points)
+    pts = sorted(set(points))
     if not pts:
         raise ValueError("empty support")
-    minimal = sorted(
-        p for p in pts
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
-    )
+    minimal = [pts[0]]
+    for p in pts[1:]:
+        if p[1] < minimal[-1][1]:
+            minimal.append(p)
     chain: list[tuple[int, int]] = []
     for p in minimal:
         while len(chain) >= 2:
@@ -121,11 +123,12 @@ def edge_hamiltonian(x_field: PlanarField, t: QuasiType, line_value: int) -> Spl
     """
     t1, t2 = quasi_type(*t)
     k = line_value - t1 - t2
-    for degree, component in quasi_field_components(x_field, (t1, t2)):
-        if degree == k:
-            return split(component, k, (t1, t2))
-    raise ValueError(
-        f"line {t1}*x + {t2}*y = {line_value} misses the support of the field")
+    component = PlanarField(x_field.p.quasi_part((t1, t2), k + t1),
+                            x_field.q.quasi_part((t1, t2), k + t2))
+    if component.is_zero:
+        raise ValueError(
+            f"line {t1}*x + {t2}*y = {line_value} misses the support of the field")
+    return split(component, k, (t1, t2))
 
 
 def _edge_type(a: tuple[int, int], b: tuple[int, int]) -> QuasiType:

@@ -76,12 +76,10 @@ def support(x_field: PlanarField) -> list[SupportPoint]:
     """
     if x_field.is_zero:
         raise ZeroPolynomialError("support of the zero field")
-    acc: dict[tuple[int, int], list[Fraction]] = {}
-    for (i, j), c in x_field.p.terms():
-        acc.setdefault((i, j + 1), [Fraction(0), Fraction(0)])[0] = c
-    for (i, j), c in x_field.q.terms():
-        acc.setdefault((i + 1, j), [Fraction(0), Fraction(0)])[1] = c
-    return [SupportPoint(pt, (a, b)) for pt, (a, b) in sorted(acc.items())]
+    a = {(i, j + 1): c for (i, j), c in x_field.p.items()}
+    b = {(i + 1, j): c for (i, j), c in x_field.q.items()}
+    zero = Fraction(0)
+    return [SupportPoint(pt, (a.get(pt, zero), b.get(pt, zero))) for pt in sorted(a.keys() | b.keys())]
 
 
 def quasi_field_components(x_field: PlanarField, t: QuasiType) -> list[tuple[int, PlanarField]]:

@@ -2,7 +2,9 @@
 
 Everything here exists to double-check the exact modules from a different
 direction: a definition-chasing Newton diagram, a sign-change real-root
-count, trajectory winding by integration, and a random collision search.
+count, trajectory winding by integration, a random collision search, and
+the bihomogeneous pieces of the compactification, built exactly but the
+slow way, by powers of u^2 + v^2 from repeated squaring.
 Floating point is allowed in this module only.
 """
 
@@ -17,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
 from .polycore import BivarPoly
-from .field import PlanarField
+from .field import PlanarField, ZERO_FIELD
 from .realroots import UniPoly
 
 ORACLE_SEED = 20260814
@@ -48,6 +50,67 @@ def brute_force_diagram(points: Iterable[tuple[int, int]]) -> list[tuple[int, in
         if values.count(best) == 1:
             vertices.add(pts[values.index(best)])
     return sorted(vertices)
+
+
+# -- bihomogeneous pieces of the compactification ------------------------------
+
+
+def _pair_piece(fi: BivarPoly, fj: BivarPoly, gi: BivarPoly, gj: BivarPoly,
+                power: int, circle: BivarPoly) -> PlanarField:
+    """Compactified contribution of one pair of homogeneous map components."""
+    s = fi * fj + gi * gj
+    if s.is_zero:
+        return ZERO_FIELD
+    u = BivarPoly.monomial(1, 0)
+    v = BivarPoly.monomial(0, 1)
+    uu_vv = u * u - v * v
+    two_uv = u * v * 2
+    pre = circle ** power
+    return PlanarField(
+        pre * (uu_vv * s.partial(1) - two_uv * s.partial(0)),
+        pre * (uu_vv * s.partial(0) + two_uv * s.partial(1)),
+    )
+
+
+def map_degree(f: BivarPoly, g: BivarPoly) -> int:
+    """max(deg f, deg g) over the nonzero components; error if both zero."""
+    return PlanarField(f, g).degree()
+
+
+def pair_component(f: BivarPoly, g: BivarPoly, i: int, j: int) -> PlanarField:
+    """Compactified piece coming from degrees (i, j) of the map.
+
+    Summing 1/2 * piece(i, i) over i plus piece(i, j) over i < j rebuilds
+    b(X) for the Hamiltonian field of ((f^2 + g^2)/2); the diagonal sum
+    alone is the diagonal part.
+    """
+    d = map_degree(f, g)
+    parts_f = dict(f.homogeneous_components())
+    parts_g = dict(g.homogeneous_components())
+    u = BivarPoly.monomial(1, 0)
+    v = BivarPoly.monomial(0, 1)
+    circle = u * u + v * v
+    zero = BivarPoly.zero()
+    return _pair_piece(
+        parts_f.get(i, zero), parts_f.get(j, zero),
+        parts_g.get(i, zero), parts_g.get(j, zero),
+        2 * d - i - j, circle,
+    )
+
+
+def diagonal_part(f: BivarPoly, g: BivarPoly) -> PlanarField:
+    """Diagonal part of b(X): 1/2 of the sum of the pure-degree pieces.
+
+    It shares its Newton diagram vertices with the full compactified field,
+    which makes it a cheap structural cross-check.
+    """
+    d = map_degree(f, g)
+    acc_p, acc_q = BivarPoly.zero(), BivarPoly.zero()
+    for i in range(1, d + 1):
+        piece = pair_component(f, g, i, i)
+        acc_p = acc_p + piece.p
+        acc_q = acc_q + piece.q
+    return PlanarField(acc_p * Fraction(1, 2), acc_q * Fraction(1, 2))
 
 
 # -- numeric real-root count ---------------------------------------------------

@@ -9,8 +9,8 @@ empty term map, so equality of values is equality of representations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, Mapping, Union
+from math import gcd, lcm
+from typing import ItemsView, Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[int, int]
 Scalar = Union[int, Fraction]
@@ -95,6 +95,10 @@ class BivarPoly:
         """Iterate terms sorted by (x-exponent, y-exponent)."""
         return iter(sorted(self._terms.items()))
 
+    def items(self) -> ItemsView[Monomial, Fraction]:
+        """Terms in storage order, unsorted: one cheap pass over them."""
+        return self._terms.items()
+
     def support(self) -> list[Monomial]:
         return sorted(self._terms)
 
@@ -149,16 +153,23 @@ class BivarPoly:
             return _raw({key: v * c for key, v in self._terms.items()})
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (_check_exponent(i1 + i2), _check_exponent(j1 + j2))
-                val = acc.get(key, Fraction(0)) + c1 * c2
-                if val:
-                    acc[key] = val
-                else:
-                    acc.pop(key, None)
-        return _raw(acc)
+        if not self._terms or not other._terms:
+            return BivarPoly.zero()
+        # Every exponent sum is at most the sum of the largest exponents, and
+        # that sum is reached, so one check per product covers all term pairs.
+        _, dx1, dy1 = self.degrees()
+        _, dx2, dy2 = other.degrees()
+        _check_exponent(dx1 + dx2)
+        _check_exponent(dy1 + dy2)
+        (a,), den_a = _integer_terms(self)
+        (b,), den_b = _integer_terms(other)
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
+                key = (i1 + i2, j1 + j2)
+                acc[key] = get(key, 0) + c1 * c2
+        return _from_integer_terms(acc, den_a * den_b)
 
     __rmul__ = __mul__
 
@@ -228,6 +239,12 @@ class BivarPoly:
             buckets.setdefault(t1 * i + t2 * j, {})[(i, j)] = c
         return [(k, _raw(buckets[k])) for k in sorted(buckets)]
 
+    def quasi_part(self, t: "QuasiType", degree: int) -> "BivarPoly":
+        """The quasi-homogeneous part of type t and the given quasi-degree;
+        zero when no term has that quasi-degree."""
+        t1, t2 = quasi_type(*t)
+        return _raw({(i, j): c for (i, j), c in self._terms.items() if t1 * i + t2 * j == degree})
+
     def homogeneous_components(self) -> list[tuple[int, "BivarPoly"]]:
         return self.quasi_components((1, 1))
 
@@ -286,6 +303,26 @@ def _raw(terms: dict[Monomial, Fraction]) -> BivarPoly:
     p = BivarPoly.__new__(BivarPoly)
     object.__setattr__(p, "_terms", terms)
     return p
+
+
+def _integer_terms(*polys: BivarPoly) -> tuple[list[dict[Monomial, int]], int]:
+    """Scale polynomials to integer term dicts over one common denominator.
+
+    Returns the integer dicts, in argument order, and the denominator: the
+    lcm of every coefficient denominator.
+    """
+    den = lcm(*(c.denominator for p in polys for c in p._terms.values()))
+    return [
+        {key: c.numerator * (den // c.denominator) for key, c in p._terms.items()}
+        for p in polys
+    ], den
+
+
+def _from_integer_terms(acc: Mapping[Monomial, int], den: int) -> BivarPoly:
+    """The polynomial with coefficients acc/den; zero entries are dropped."""
+    if den == 1:
+        return _raw({key: Fraction(c) for key, c in acc.items() if c})
+    return _raw({key: Fraction(c, den) for key, c in acc.items() if c})
 
 
 def _as_poly(value: "BivarPoly | Scalar") -> BivarPoly:

@@ -28,17 +28,15 @@ from monodroma import (
     cima_condition,
     compactify,
     det_nonvanishing_heuristic,
-    diagonal_part,
     hamiltonian_field,
     jacobian_det,
-    map_degree,
     newton_chain,
     parse_poly,
     quasi_factor_test,
     squarefree_part,
     sturm_count,
 )
-from monodroma.oracle import brute_force_diagram, numeric_root_count, winding
+from monodroma.oracle import brute_force_diagram, diagonal_part, map_degree, numeric_root_count, winding
 
 U = BivarPoly.monomial(1, 0)
 V = BivarPoly.monomial(0, 1)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monodroma import (
     BivarPoly,
@@ -11,13 +12,11 @@ from monodroma import (
     PlanarField,
     ZeroPolynomialError,
     compactify,
-    diagonal_part,
     hamiltonian_field,
-    map_degree,
     newton_chain,
-    pair_component,
     support,
 )
+from monodroma.oracle import diagonal_part, map_degree, pair_component
 
 from genmaps import rand_any_map, rand_homogeneous, rand_poly
 
@@ -63,6 +62,36 @@ def test_pointwise_inversion_identity():
         scale = circle ** d
         assert b_field.p.evaluate(u0, v0) == scale * ((v0 * v0 - u0 * u0) * p_val - 2 * u0 * v0 * q_val)
         assert b_field.q.evaluate(u0, v0) == scale * ((u0 * u0 - v0 * v0) * q_val - 2 * u0 * v0 * p_val)
+
+
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+# Sparse terms of total degree at most 5, so most fields miss some degrees.
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: sum(e) <= 5),
+    _coeffs, max_size=4).map(BivarPoly)
+_points = st.tuples(_coeffs, _coeffs).filter(lambda pt: pt != (0, 0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_polys, _polys, st.lists(_points, min_size=1, max_size=3))
+# P has only degrees 0 and 3, Q only degree 1.
+@example(X ** 3 * Fraction(2, 3) - Fraction(1, 5), Y * Fraction(-7, 2),
+         [(Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(5, 7))])
+def test_compactify_matches_its_definition_pointwise(p, q, points):
+    # b(X)(u, v) = ((v^2-u^2) P* - 2uv Q*, (u^2-v^2) Q* - 2uv P*) with
+    # R* = r^d R(u/r, v/r) and r = u^2+v^2, from PlanarField.evaluate only.
+    field = PlanarField(p, q)
+    assume(not field.is_zero and field.degree() > 0)
+    d = field.degree()
+    b_field = compactify(field)
+    for u0, v0 in points:
+        r = u0 * u0 + v0 * v0
+        p_val, q_val = field.evaluate(u0 / r, v0 / r)
+        p_star, q_star = r ** d * p_val, r ** d * q_val
+        assert b_field.evaluate(u0, v0) == (
+            (v0 * v0 - u0 * u0) * p_star - 2 * u0 * v0 * q_star,
+            (u0 * u0 - v0 * v0) * q_star - 2 * u0 * v0 * p_star,
+        )
 
 
 def test_degree_bound_and_origin_fixed():

@@ -46,6 +46,15 @@ def test_newton_chain_matches_brute_force_oracle():
     for _ in range(300):
         pts = rand_points(rng, count=rng.randint(1, 16), bound=20)
         assert newton_chain(pts) == brute_force_diagram(pts)
+    # Columns and rows: several points sharing an x or a y coordinate.
+    rng = random.Random(506)
+    for _ in range(300):
+        pts = rand_points(rng, count=rng.randint(0, 6), bound=12)
+        for _ in range(rng.randint(1, 3)):
+            c = rng.randint(0, 12)
+            line = [(c, rng.randint(0, 12)) for _ in range(rng.randint(2, 5))]
+            pts += line if rng.random() < 0.5 else [(y, x) for x, y in line]
+        assert newton_chain(pts) == brute_force_diagram(pts)
 
 
 def test_collinear_interior_point_never_a_vertex():

@@ -3,9 +3,13 @@ check, certify() verdict paths, and JSON certificates."""
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -22,6 +26,7 @@ from genmaps import (
     triangular_map,
 )
 
+import monodroma
 from monodroma import (
     ASSUMED,
     INCONCLUSIVE,
@@ -388,3 +393,21 @@ def test_certificate_json_shape():
     points = [tuple(v["point"]) for v in doc["diagram"]["vertices"]]
     assert points == [(0, 12), (6, 2), (8, 0)]
     assert all(t["passed"] for t in doc["monodromy"]["conditions"])
+
+
+def test_pipeline_runs_without_numpy_or_scipy():
+    # Only the numeric oracles need numpy and scipy; blocking both imports
+    # must leave the package importable and the README map certifiable.
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from monodroma import certify, parse_map\n"
+        "print(certify(*parse_map('f = x + x^3; g = y + x^2')).verdict)\n"
+    )
+    package_root = str(Path(monodroma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == INJECTIVE

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monodroma import BivarPoly, ExponentOverflowError, quasi_type
 
@@ -177,6 +178,13 @@ def test_exponent_overflow_guard():
         big * big
     with pytest.raises(ExponentOverflowError):
         BivarPoly.monomial(2 ** 62 + 1, 0)
+    # Only one term pair of each product leaves the range.
+    with pytest.raises(ExponentOverflowError):
+        (big + 1) * (X + 1)
+    with pytest.raises(ExponentOverflowError):
+        (BivarPoly.monomial(0, 2 ** 62) + 1) * (Y + 1)
+    top = BivarPoly.monomial(2 ** 62 - 1, 0) + 1  # reaches the cap exactly
+    assert (top * (X + 1)).coeff(2 ** 62, 0) == 1
     with pytest.raises(ValueError):
         BivarPoly.monomial(-1, 0)
 
@@ -193,3 +201,31 @@ def test_to_string_examples():
     assert BivarPoly.zero().to_string() == "0"
     assert BivarPoly.const(Fraction(-3, 4)).to_string() == "-3/4"
     assert (X * Y).to_string(("u", "v")) == "u*v"
+
+
+# -- the integer product kernel against a naive Fraction product ---------------
+
+_coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=15)
+_polys = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)), _coeffs, max_size=9),
+    _coeffs.map(lambda c: {(0, 0): c}),
+).map(BivarPoly)
+
+
+def _naive_product(a: BivarPoly, b: BivarPoly) -> dict:
+    acc = {}
+    for (i1, j1), c1 in a.terms():
+        for (i2, j2), c2 in b.terms():
+            key = (i1 + i2, j1 + j2)
+            acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in acc.items() if c}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_polys, _polys)
+def test_product_matches_naive_fraction_product(a, b):
+    product = a * b
+    terms = dict(product.terms())
+    assert terms == _naive_product(a, b)
+    assert all(type(c) is Fraction for c in terms.values())
+    assert product == b * a
