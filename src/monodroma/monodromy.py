@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import Edge, NewtonDiagram, inner_beta
+from .diagram import Edge, NewtonDiagram
 from .realroots import FactorTest, quasi_factor_test
 
 MONODROMIC = "Monodromic"
@@ -150,13 +150,3 @@ def check_monodromic(diagram: NewtonDiagram) -> MonodromyVerdict:
         failed = ", ".join(r.condition for r in reports if not r.passed)
         outcome, reason = INCONCLUSIVE, f"conditions not established: {failed}"
     return MonodromyVerdict(outcome, reason, tuple(reports), tuple(edge_tests))
-
-
-def sector_classification(diagram: NewtonDiagram, point: tuple[int, int]) -> str:
-    """Classify the wedge at an inner vertex from the sign of beta.
-
-    Only the sector cut out by the two adjacent edge Hamiltonians at this
-    vertex is classified: "parabolic" when beta < 0, "non-parabolic" when
-    beta > 0.  Errors where beta is undefined.
-    """
-    return "parabolic" if inner_beta(diagram, point) < 0 else "non-parabolic"

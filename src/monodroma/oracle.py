@@ -4,7 +4,9 @@ Everything here exists to double-check the exact modules from a different
 direction: a definition-chasing Newton diagram, a sign-change real-root
 count, trajectory winding by integration, a random collision search, and
 the bihomogeneous pieces of the compactification, built exactly but the
-slow way, by powers of u^2 + v^2 from repeated squaring.
+slow way, by powers of u^2 + v^2 from repeated squaring.  Two exact helpers
+that no verdict needs live here too: root-witness refinement by repeated
+Sturm counts, and the sector reading of an inner vertex's beta.
 Floating point is allowed in this module only.
 """
 
@@ -19,8 +21,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
 from .polycore import BivarPoly
+from .diagram import NewtonDiagram, inner_beta
 from .field import PlanarField, ZERO_FIELD
-from .realroots import UniPoly
+from .realroots import FactorWitness, UniPoly, sturm_count
 
 ORACLE_SEED = 20260814
 
@@ -167,6 +170,37 @@ def numeric_root_count(p: UniPoly, tol: float = 1e-9) -> int:
     lead = abs(p.coeffs[-1])
     bound = 1.0 + float(max(abs(c) for c in p.coeffs[:-1]) / lead) if p.degree >= 1 else 1.0
     return len(_sign_change_roots(coeffs, bound + 1.0, tol))
+
+
+def refine_witness(p: UniPoly, w: FactorWitness, rounds: int = 1) -> FactorWitness:
+    """Halve a root witness of p ``rounds`` times; it keeps isolating its root.
+
+    A midpoint that is a root becomes the exact value; an interval with an
+    exact value shrinks to at most half around it, inside the old one.
+    """
+    lo, hi, exact = w.lo, w.hi, w.exact
+    for _ in range(rounds):
+        mid = (lo + hi) / 2
+        if exact is None and p(mid) == 0:
+            exact = mid
+        if exact is not None:
+            quarter = (hi - lo) / 4
+            lo, hi = max(lo, exact - quarter), min(hi, exact + quarter)
+        elif sturm_count(p, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return FactorWitness(lo, hi, w.sign, exact)
+
+
+def sector_classification(diagram: NewtonDiagram, point: tuple[int, int]) -> str:
+    """Classify the wedge at an inner vertex from the sign of beta.
+
+    Only the sector cut out by the two adjacent edge Hamiltonians at this
+    vertex is classified: "parabolic" when beta < 0, "non-parabolic" when
+    beta > 0.  Errors where beta is undefined.
+    """
+    return "parabolic" if inner_beta(diagram, point) < 0 else "non-parabolic"
 
 
 # -- winding of a trajectory ---------------------------------------------------

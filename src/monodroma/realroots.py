@@ -5,22 +5,22 @@ This backs the edge factor test: a quasi-homogeneous polynomial h of type
 content, to a binary form in (u^t2, v^t1); h has a factor v^t1 - a*u^t2 with
 real a != 0 exactly when the dehomogenized form has a nonzero real root.
 Root counting is Sturm's method on integer chains with primitive-part
-normalization; witnesses are isolating rational intervals, with exact values
-whenever a root is rational.
+normalization, signs taken by integer Horner on the homogenized form.
+Witnesses are isolating rational intervals, with exact values whenever a root
+is rational: by the rational root theorem every rational root of the
+primitive square-free part is k/lc for an integer k, lc its leading
+coefficient, so bisecting the grid of those fractions with Sturm counts finds
+them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, quasi_type
-
-# Divisor enumeration for the rational-root fast path is skipped above this
-# size; completeness is preserved by the exact-midpoint handler in isolation.
-_FACTOR_CAP = 10**12
 
 
 class UniPoly:
@@ -212,10 +212,17 @@ def sturm_chain(p: UniPoly) -> list[list[int]]:
     return chain
 
 
-def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
-    acc = Fraction(0)
+def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
+    """Sign of the integer polynomial at num/den, den > 0.
+
+    Horner on the homogenized form sum c_i num^i den^(n-i), which is the
+    value times den^n and stays in integers.
+    """
+    acc = 0
+    scale = 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * num + c * scale
+        scale *= den
     return (acc > 0) - (acc < 0)
 
 
@@ -236,10 +243,15 @@ def _variations(signs: Iterable[int]) -> int:
 Endpoint = Union[Fraction, None]
 
 
+def _signs(chain: list[list[int]], x: Fraction) -> list[int]:
+    num, den = x.numerator, x.denominator
+    return [_sign_at(c, num, den) for c in chain]
+
+
 def _chain_variations(chain: list[list[int]], x: Endpoint, positive_inf: bool = True) -> int:
     if x is None:
         return _variations(_sign_at_inf(c, positive_inf) for c in chain)
-    return _variations(_sign_at(c, x) for c in chain)
+    return _variations(_signs(chain, x))
 
 
 def sturm_count(p: UniPoly, lo: Endpoint = None, hi: Endpoint = None) -> int:
@@ -301,95 +313,83 @@ class FactorWitness:
             raise ValueError("exact root outside its interval")
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d <= isqrt(n):
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+def _grid_roots(chain: list[list[int]], bound: Fraction) -> list[Fraction]:
+    """Every rational root of the square-free chain[0] in (-bound, bound), ascending.
 
+    By the rational root theorem each one is k/lc for an integer k, lc the
+    leading coefficient of the primitive chain[0].  Bisect the grid range
+    (-top/lc, top/lc], top = ceil(bound * lc), at grid points, where the
+    variation difference V(a) - V(b) counts the roots in (a, b], and drop
+    every piece it finds empty.  A piece one grid step wide, (k-1, k]/lc,
+    can hold a rational root only at its right end k/lc.
+    """
+    lc = abs(chain[0][-1])
 
-def _rational_roots(ps: UniPoly) -> Optional[list[Fraction]]:
-    """All rational roots of ps, or None when coefficients are too large."""
-    ints = _int_primitive(ps)
-    c0, cn = ints[0], ints[-1]
-    if c0 == 0:
-        raise ValueError("expected a polynomial with nonzero constant term")
-    if abs(c0) > _FACTOR_CAP or abs(cn) > _FACTOR_CAP:
-        return None
+    def variations(k: int) -> int:
+        return _variations([_sign_at(c, k, lc) for c in chain])
+
+    top = ceil(bound * lc)
     roots = []
-    for num in _divisors(c0):
-        for den in _divisors(cn):
-            if gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if ps(cand) == 0:
-                    roots.append(cand)
-    return sorted(roots)
+    stack = [(-top, top, variations(-top), variations(top))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if _sign_at(chain[0], b, lc) == 0:
+                roots.append(Fraction(b, lc))
+            continue
+        m = (a + b) // 2
+        vm = variations(m)
+        stack.append((m, b, vm, vb))
+        stack.append((a, m, va, vm))
+    return roots
 
 
-def _count_open(chain: list[list[int]], ps: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots in (lo, hi); both endpoints must be non-roots."""
-    count = _chain_variations(chain, lo) - _chain_variations(chain, hi)
-    if ps(hi) == 0:
-        count -= 1
-    return count
+def _count_open(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of the square-free chain[0] in (lo, hi); hi is not a root."""
+    return _variations(_signs(chain, lo)) - _variations(_signs(chain, hi))
 
 
-def _shrink_around(chain: list[list[int]], ps: UniPoly, root: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval around a known exact root containing no other root of ps."""
+def _shrink_around(chain: list[list[int]], root: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
+    """Interval around a known exact root containing no other root of chain[0]."""
     w = radius
     while True:
-        lo, hi = root - w, root + w
-        if ps(lo) != 0 and ps(hi) != 0 and _count_open(chain, ps, lo, hi) == 1:
-            return lo, hi
+        lo_signs, hi_signs = _signs(chain, root - w), _signs(chain, root + w)
+        if lo_signs[0] and hi_signs[0] and _variations(lo_signs) - _variations(hi_signs) == 1:
+            return root - w, root + w
         w /= 2
 
 
-def _isolate_segment(chain: list[list[int]], ps: UniPoly, lo: Fraction, hi: Fraction,
+def _isolate_segment(chain: list[list[int]], lo: Fraction, hi: Fraction,
                      out: list[tuple[Fraction, Fraction, Optional[Fraction]]]) -> None:
-    """Isolate the roots of ps inside (lo, hi); endpoints are non-roots."""
+    """Isolate the roots of chain[0] inside (lo, hi), none of them rational.
+
+    With no rational root inside, no bisection point is a root.
+    """
     stack = [(lo, hi)]
     while stack:
         a, b = stack.pop()
-        n = _count_open(chain, ps, a, b)
+        n = _count_open(chain, a, b)
         if n == 0:
             continue
-        if n == 1 and ps((a + b) / 2) != 0:
+        if n == 1:
             out.append((a, b, None))
             continue
         mid = (a + b) / 2
-        if ps(mid) == 0:
-            # A rational root the fast path did not deliver; carve out its
-            # own interval and keep isolating on both sides.
-            w_lo, w_hi = _shrink_around(chain, ps, mid, (b - a) / 4)
-            out.append((w_lo, w_hi, mid))
-            stack.append((a, w_lo))
-            stack.append((w_hi, b))
-        else:
-            stack.append((a, mid))
-            stack.append((mid, b))
+        stack.append((a, mid))
+        stack.append((mid, b))
 
 
-def _off_zero(chain: list[list[int]], ps: UniPoly, lo: Fraction,
-              hi: Fraction) -> tuple[Fraction, Fraction, Optional[Fraction]]:
-    """Shrink an isolating interval so that zero is not an endpoint."""
-    exact = None
+def _off_zero(chain: list[list[int]], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink an interval isolating an irrational root so zero is not an endpoint."""
     while lo == 0 or hi == 0:
         mid = (lo + hi) / 2
-        if ps(mid) == 0:
-            lo, hi = _shrink_around(chain, ps, mid, min(abs(mid) / 2, (hi - lo) / 4))
-            exact = mid
-            break
-        if _count_open(chain, ps, lo, mid) == 1:
+        if _count_open(chain, lo, mid) == 1:
             hi = mid
         else:
             lo = mid
-    return lo, hi, exact
+    return lo, hi
 
 
 def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
@@ -397,7 +397,9 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
 
     Returns pairwise-disjoint open rational intervals sorted left to right,
     one root each, none containing zero.  Rational roots come with their
-    exact value (found by trial division before any bisection).
+    exact value, found first by a Sturm bisection of the grid k/lc (lc the
+    leading coefficient of the primitive square-free part); the irrational
+    roots are then isolated by bisection in the gaps between them.
     """
     if p.is_zero:
         raise ZeroPolynomialError("roots of the zero polynomial")
@@ -413,17 +415,18 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     bound = cauchy_bound(ps)
 
     found: list[tuple[Fraction, Fraction, Optional[Fraction]]] = []
-    rationals = _rational_roots(ps) or []
+    rationals = _grid_roots(chain, bound)
     for idx, root in enumerate(rationals):
         radius = abs(root) / 2
         if idx > 0:
             radius = min(radius, (root - rationals[idx - 1]) / 4)
         if idx + 1 < len(rationals):
             radius = min(radius, (rationals[idx + 1] - root) / 4)
-        lo, hi = _shrink_around(chain, ps, root, radius)
+        lo, hi = _shrink_around(chain, root, radius)
         found.append((lo, hi, root))
 
-    # Gaps between the exact-root intervals, split at zero.
+    # Gaps between the exact-root intervals, split at zero: every root left
+    # in them is irrational.
     cuts = [-bound]
     for lo, hi, _ in sorted(found):
         cuts.extend((lo, hi))
@@ -431,37 +434,15 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     for a, b in zip(cuts[::2], cuts[1::2]):
         for seg_lo, seg_hi in ((a, min(b, Fraction(0))), (max(a, Fraction(0)), b)):
             if seg_lo < seg_hi:
-                _isolate_segment(chain, ps, seg_lo, seg_hi, found)
+                _isolate_segment(chain, seg_lo, seg_hi, found)
 
     found.sort()
     out = []
     for lo, hi, exact in found:
-        if exact is None and (lo == 0 or hi == 0):
-            lo, hi, exact = _off_zero(chain, ps, lo, hi)
+        if lo == 0 or hi == 0:
+            lo, hi = _off_zero(chain, lo, hi)
         out.append(FactorWitness(lo, hi, 1 if lo > 0 else -1, exact))
     return out
-
-
-def refine_witness(p: UniPoly, w: FactorWitness, rounds: int = 1) -> FactorWitness:
-    """Halve the witness interval; the root count inside stays one."""
-    ps = squarefree_part(p)
-    chain = sturm_chain(ps)
-    lo, hi, exact = w.lo, w.hi, w.exact
-    for _ in range(rounds):
-        mid = (lo + hi) / 2
-        if exact is not None:
-            if mid == exact or ps(mid) == 0:
-                lo, hi = _shrink_around(chain, ps, exact, (hi - lo) / 4)
-                continue
-            lo, hi = (lo, mid) if exact < mid else (mid, hi)
-        elif ps(mid) == 0:
-            exact = mid
-            lo, hi = _shrink_around(chain, ps, mid, (hi - lo) / 4)
-        elif _count_open(chain, ps, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return FactorWitness(lo, hi, w.sign, exact)
 
 
 # -- the quasi-homogeneous factor test ---------------------------------------

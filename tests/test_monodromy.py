@@ -15,9 +15,8 @@ from monodroma import (
     check_monodromic,
     compactify,
     hamiltonian_field,
-    sector_classification,
 )
-from monodroma.oracle import winding
+from monodroma.oracle import sector_classification, winding
 
 from genmaps import example1_map
 

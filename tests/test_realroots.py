@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monodroma import (
     BivarPoly,
@@ -13,11 +15,10 @@ from monodroma import (
     nonzero_real_roots,
     poly_gcd,
     quasi_factor_test,
-    refine_witness,
     squarefree_part,
     sturm_count,
 )
-from monodroma.oracle import numeric_root_count
+from monodroma.oracle import numeric_root_count, refine_witness
 
 U = BivarPoly.monomial(1, 0)
 V = BivarPoly.monomial(0, 1)
@@ -129,13 +130,90 @@ def test_nonzero_real_roots_close_pair_is_separated():
 
 
 def test_nonzero_real_roots_large_coefficients():
-    # Beyond the rational-root fast path cap; falls back to isolation.
+    # A constant term of 10^15: the grid search still returns both exactly.
     big = 10 ** 15
     p = lam(-big, 1) * lam(1, 1)
     witnesses = nonzero_real_roots(p)
     assert len(witnesses) == 2
+    assert [w.exact for w in witnesses] == [-1, big]
     for w in witnesses:
         assert sturm_count(p, w.lo, w.hi) == 1
+
+
+def test_nonzero_real_roots_exact_root_with_huge_coefficients():
+    # (3*10^13 x - 1)(x^2 - 2): no bisection midpoint hits 1/(3*10^13), so
+    # only a search over all candidate fractions k/lc finds it.
+    p = lam(2, -6 * 10 ** 13, -1, 3 * 10 ** 13)
+    witnesses = nonzero_real_roots(p)
+    assert [w.exact for w in witnesses] == [None, Fraction(1, 3 * 10 ** 13), None]
+    for w in witnesses:
+        assert sturm_count(p, w.lo, w.hi) == 1
+    for w in (witnesses[0], witnesses[2]):
+        assert (w.lo * w.lo - 2) * (w.hi * w.hi - 2) < 0
+
+
+def test_nonzero_real_roots_large_prime_denominator():
+    q = 2 ** 61 - 1  # prime
+    p = lam(-3, q) * lam(-5, 0, 1)
+    witnesses = nonzero_real_roots(p)
+    assert [w.exact for w in witnesses] == [None, Fraction(3, q), None]
+    assert [w.sign for w in witnesses] == [-1, 1, 1]
+
+
+def test_nonzero_real_roots_quartic_without_real_roots():
+    # 7x^4 + x^2 + 999999999989 > 0; its constant term is a prime near 10^12.
+    assert nonzero_real_roots(lam(999999999989, 0, 1, 0, 7)) == []
+
+
+def _irreducible(quadratic):
+    a, b, c = quadratic
+    disc = b * b - 4 * a * c
+    return disc < 0 or isqrt(disc) ** 2 != disc
+
+
+_planted_roots = st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=30), max_size=4)
+_quadratics = st.lists(
+    st.tuples(st.integers(1, 9), st.integers(-20, 20), st.integers(-20, 20)).filter(_irreducible),
+    max_size=2)
+_zero_powers = st.integers(0, 3)
+_scales = st.sampled_from([1, -1, Fraction(3, 7), -5])
+
+
+def _planted(roots, quadratics, zero_power, scale):
+    """scale * x^zero_power * prod (x - r) * prod (a x^2 + b x + c)."""
+    p = lam(*([0] * zero_power), scale)
+    for r in roots:
+        p = p * lam(-r, 1)
+    for a, b, c in quadratics:
+        p = p * lam(c, b, a)
+    return p
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_planted_roots, _quadratics, _zero_powers, _scales)
+def test_nonzero_real_roots_returns_planted_rational_roots(roots, quadratics, zero_power, scale):
+    p = _planted(roots, quadratics, zero_power, scale)
+    witnesses = nonzero_real_roots(p)
+    exact = [w.exact for w in witnesses if w.exact is not None]
+    assert exact == sorted({r for r in roots if r})
+    for w in witnesses:
+        assert not (w.lo <= 0 <= w.hi)
+        assert w.sign == (1 if w.lo > 0 else -1)
+        assert sturm_count(p, w.lo, w.hi) == 1
+    for left, right in zip(witnesses, witnesses[1:]):
+        assert left.hi <= right.lo
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_planted_roots, _quadratics, _zero_powers, _scales)
+def test_nonzero_real_root_count_matches_sympy(roots, quadratics, zero_power, scale):
+    sympy = pytest.importorskip("sympy")
+    p = _planted(roots, quadratics, zero_power, scale)
+    x = sympy.Symbol("x")
+    reference = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                            for c in reversed(p.coeffs)], x)
+    distinct = {r for r in sympy.real_roots(reference) if r != 0}
+    assert len(nonzero_real_roots(p)) == len(distinct)
 
 
 def test_refine_witness_narrows_and_keeps_root():
