@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes for ``check``: 0 Injective, 2 Inconclusive, 3 NotApplicable,
-1 usage or parse error.  The environment variable MONODROMA_SEED fixes the
+1 usage, parse or input error (an exponent past polycore.MAX_EXPONENT too).  The environment variable MONODROMA_SEED fixes the
 seed of every randomized subroutine (determinant sampling, oracle starts).
 """
 
@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from .parser import ParseError, parse_bindings, parse_map, parse_poly
-from .polycore import quasi_type
+from .polycore import ExponentOverflowError, quasi_type
 from .field import PlanarField, hamiltonian_field, support
 from .bendixson import compactify
 from .diagram import build_diagram
@@ -201,7 +201,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .polycore import BivarPoly, QuasiType, quasi_type
-from .field import PlanarField, SplitField, SupportPoint, split, support
+from .field import PlanarField, SplitField, split, support
 
 
 def newton_chain(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, quasi_type
-from .realroots import FactorWitness, UniPoly, nonzero_real_roots, poly_gcd, squarefree_part, sturm_count
+from .realroots import FactorWitness, UniPoly, dehomogenize, nonzero_real_roots, poly_gcd, squarefree_part, sturm_count
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,6 @@ def support(x_field: PlanarField) -> list[SupportPoint]:
     b = {(i + 1, j): c for (i, j), c in x_field.q.items()}
     zero = Fraction(0)
     return [SupportPoint(pt, (a.get(pt, zero), b.get(pt, zero))) for pt in sorted(a.keys() | b.keys())]
-
-
-def quasi_field_components(x_field: PlanarField, t: QuasiType) -> list[tuple[int, PlanarField]]:
-    """Quasi-homogeneous field components, ascending degree.
-
-    The component of degree k pairs the p-part of quasi-degree k + t1 with
-    the q-part of quasi-degree k + t2; k may be negative (constant terms).
-    """
-    t1, t2 = quasi_type(*t)
-    buckets: dict[int, list[BivarPoly]] = {}
-    for deg, part in x_field.p.quasi_components((t1, t2)):
-        buckets.setdefault(deg - t1, [BivarPoly.zero(), BivarPoly.zero()])[0] = part
-    for deg, part in x_field.q.quasi_components((t1, t2)):
-        buckets.setdefault(deg - t2, [BivarPoly.zero(), BivarPoly.zero()])[1] = part
-    return [(k, PlanarField(*buckets[k])) for k in sorted(buckets)]
 
 
 @dataclass(frozen=True)
@@ -177,40 +162,12 @@ class CommonLinearFactor:
         return f"y - a*x, a in ({lo}, {hi})"
 
 
-def _dehomogenize(form: BivarPoly) -> UniPoly:
-    """Binary form with no axis factors -> univariate poly via x=1, y=lam."""
-    degree = form.total_degree()
-    coeffs = [Fraction(0)] * (degree + 1)
-    for (i, j), c in form.terms():
-        coeffs[j] = c
-    return UniPoly(coeffs)
-
-
-def _strip_axes(form: BivarPoly) -> tuple[int, int, BivarPoly]:
-    i0, j0 = form.min_exponents()
-    stripped = BivarPoly({(i - i0, j - j0): c for (i, j), c in form.terms()})
-    return i0, j0, stripped
-
-
-def _rational_multiplicity(p: UniPoly, root: Fraction) -> int:
-    lin = UniPoly([-root, Fraction(1)])
+def _multiplicity(p: UniPoly, sf: UniPoly, w: FactorWitness) -> int:
+    """Multiplicity in p of the root of sf that w isolates: its first nonzero derivative."""
     mult = 0
-    while not p.is_zero and p(root) == 0:
-        p = p.exact_div(lin)
-        mult += 1
-    return mult
-
-
-def _interval_multiplicity(p: UniPoly, sf: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Multiplicity in p of the single root of sf inside (lo, hi)."""
-    mult = 0
-    deriv = p
-    while not deriv.is_zero:
-        common = poly_gcd(sf, deriv)
-        if common.degree == 0 or sturm_count(common, lo, hi) == 0:
-            break
-        mult += 1
-        deriv = deriv.derivative()
+    while (p(w.exact) == 0 if w.exact is not None
+           else sturm_count(poly_gcd(sf, p), w.lo, w.hi) > 0):
+        p, mult = p.derivative(), mult + 1
     return mult
 
 
@@ -226,13 +183,13 @@ def common_real_linear_factors(a: BivarPoly, b: BivarPoly) -> list[CommonLinearF
         if len(form.homogeneous_components()) != 1:
             raise ValueError("common_real_linear_factors expects homogeneous inputs")
     out: list[CommonLinearFactor] = []
-    ax, ay, a0 = _strip_axes(a)
-    bx, by, b0 = _strip_axes(b)
+    ax, ay = a.min_exponents()
+    bx, by = b.min_exponents()
     if ax and bx:
         out.append(CommonLinearFactor("x", ax, bx))
     if ay and by:
         out.append(CommonLinearFactor("y", ay, by))
-    pa, pb = _dehomogenize(a0), _dehomogenize(b0)
+    pa, pb = dehomogenize(a, (1, 1)), dehomogenize(b, (1, 1))
     if pa.degree == 0 or pb.degree == 0:
         return out
     common = poly_gcd(pa, pb)
@@ -240,14 +197,8 @@ def common_real_linear_factors(a: BivarPoly, b: BivarPoly) -> list[CommonLinearF
         return out
     sf = squarefree_part(common)
     for witness in nonzero_real_roots(common):
-        if witness.exact is not None:
-            ma = _rational_multiplicity(pa, witness.exact)
-            mb = _rational_multiplicity(pb, witness.exact)
-        else:
-            ma = _interval_multiplicity(pa, sf, witness.lo, witness.hi)
-            mb = _interval_multiplicity(pb, sf, witness.lo, witness.hi)
         out.append(CommonLinearFactor(
-            "slope", ma, mb,
+            "slope", _multiplicity(pa, sf, witness), _multiplicity(pb, sf, witness),
             slope=witness.exact,
             slope_interval=None if witness.exact is not None else (witness.lo, witness.hi),
         ))
@@ -258,10 +209,9 @@ def real_linear_factor_exists(form: BivarPoly) -> bool:
     """Whether a nonzero homogeneous polynomial has any real linear factor."""
     if form.is_zero:
         raise ZeroPolynomialError("factors of the zero polynomial")
-    i0, j0, stripped = _strip_axes(form)
-    if i0 or j0:
+    if any(form.min_exponents()):
         return True
-    p = _dehomogenize(stripped)
+    p = dehomogenize(form, (1, 1))
     if p.degree == 0:
         return False
     return sturm_count(p) > 0

@@ -4,7 +4,8 @@ Everything here exists to double-check the exact modules from a different
 direction: a definition-chasing Newton diagram, a sign-change real-root
 count, trajectory winding by integration, a random collision search, and
 the bihomogeneous pieces of the compactification, built exactly but the
-slow way, by powers of u^2 + v^2 from repeated squaring.  Two exact helpers
+slow way, by powers of u^2 + v^2 from repeated squaring, and the
+quasi-homogeneous components of a field.  Two exact helpers
 that no verdict needs live here too: root-witness refinement by repeated
 Sturm counts, and the sector reading of an inner vertex's beta.
 Floating point is allowed in this module only.
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
-from .polycore import BivarPoly
+from .polycore import BivarPoly, QuasiType, quasi_type
 from .diagram import NewtonDiagram, inner_beta
 from .field import PlanarField, ZERO_FIELD
 from .realroots import FactorWitness, UniPoly, sturm_count
@@ -114,6 +115,21 @@ def diagonal_part(f: BivarPoly, g: BivarPoly) -> PlanarField:
         acc_p = acc_p + piece.p
         acc_q = acc_q + piece.q
     return PlanarField(acc_p * Fraction(1, 2), acc_q * Fraction(1, 2))
+
+
+def quasi_field_components(x_field: PlanarField, t: QuasiType) -> list[tuple[int, PlanarField]]:
+    """Quasi-homogeneous field components, ascending degree.
+
+    The component of degree k pairs the p-part of quasi-degree k + t1 with
+    the q-part of quasi-degree k + t2; k may be negative (constant terms).
+    """
+    t1, t2 = quasi_type(*t)
+    buckets: dict[int, list[BivarPoly]] = {}
+    for deg, part in x_field.p.quasi_components((t1, t2)):
+        buckets.setdefault(deg - t1, [BivarPoly.zero(), BivarPoly.zero()])[0] = part
+    for deg, part in x_field.q.quasi_components((t1, t2)):
+        buckets.setdefault(deg - t2, [BivarPoly.zero(), BivarPoly.zero()])[1] = part
+    return [(k, PlanarField(*buckets[k])) for k in sorted(buckets)]
 
 
 # -- numeric real-root count ---------------------------------------------------

@@ -11,8 +11,11 @@ then '*', then '+'/'-'; multiplication is always explicit):
     atom     := rational | variable | "(" expr ")"
     rational := natural ["/" natural]
 
-Exponents are non-negative integer literals.  Rational literals require
-integer numerator and denominator; anything else next to "/" is an error.
+Exponents are non-negative integer literals up to polycore.MAX_EXPONENT.
+Rational literals require integer numerator and denominator; anything else
+next to "/" is an error.  Parentheses and unary minuses together nest at
+most MAX_DEPTH deep, so hostile input ends in a ParseError, not in the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polycore import BivarPoly
+from .polycore import MAX_EXPONENT, BivarPoly
+
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -83,6 +88,7 @@ class _Parser:
     tokens: list[_Token]
     variables: tuple[str, str]
     pos: int = field(default=0)
+    depth: int = field(default=0)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -97,6 +103,13 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"unexpected {_describe(tok)}", tok.offset, frozenset({description}))
         return self.advance()
+
+    def nest(self) -> None:
+        """Consume a '(' or unary '-' one level deeper, within MAX_DEPTH."""
+        tok = self.advance()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.offset)
 
     def expr(self) -> BivarPoly:
         acc = self.term()
@@ -115,8 +128,10 @@ class _Parser:
 
     def factor(self) -> BivarPoly:
         if self.peek().kind == "-":
-            self.advance()
-            return -self.factor()
+            self.nest()
+            inner = self.factor()
+            self.depth -= 1
+            return -inner
         return self.power()
 
     def power(self) -> BivarPoly:
@@ -129,6 +144,8 @@ class _Parser:
                     f"unexpected {_describe(tok)}", tok.offset,
                     frozenset({"non-negative integer exponent"}),
                 )
+            if tok.value > MAX_EXPONENT:
+                raise ParseError(f"exponent {tok.value} exceeds {MAX_EXPONENT}", tok.offset)
             self.advance()
             return base ** tok.value
         return base
@@ -161,9 +178,10 @@ class _Parser:
             index = self.variables.index(tok.text)
             return BivarPoly.monomial(1 - index, index)
         if tok.kind == "(":
-            self.advance()
+            self.nest()
             inner = self.expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return inner
         raise ParseError(
             f"unexpected {_describe(tok)}", tok.offset,

@@ -1,38 +1,58 @@
-"""Exact real-root counting and isolation for univariate rational polynomials.
+"""Exact real-root counting and isolation for univariate polynomials.
 
 This backs the edge factor test: a quasi-homogeneous polynomial h of type
 (t1, t2) with both weights positive collapses, after pulling out the monomial
 content, to a binary form in (u^t2, v^t1); h has a factor v^t1 - a*u^t2 with
 real a != 0 exactly when the dehomogenized form has a nonzero real root.
-Root counting is Sturm's method on integer chains with primitive-part
-normalization, signs taken by integer Horner on the homogenized form.
-Witnesses are isolating rational intervals, with exact values whenever a root
-is rational: by the rational root theorem every rational root of the
-primitive square-free part is k/lc for an integer k, lc its leading
-coefficient, so bisecting the grid of those fractions with Sturm counts finds
-them all.
+
+Every consumer reads only roots and signs, and neither changes when a
+polynomial is multiplied by a positive rational, so a polynomial is kept in
+one form: its primitive integer multiple (``UniPoly``).  One integer
+pseudo-division serves division, the gcd (primitive PRS, Collins 1967), the
+square-free part and the Sturm chain successor step.  Root counting is
+Sturm's method on those chains, signs taken by integer Horner on the
+homogenized form.  Witnesses are isolating rational intervals, with exact
+values whenever a root is rational: by the rational root theorem every
+rational root of the primitive square-free part is k/lc for an integer k, lc
+its leading coefficient, so bisecting the grid of those fractions with Sturm
+counts finds them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, quasi_type
 
 
+def _primitive(cs: Sequence[Scalar]) -> tuple[int, ...]:
+    """The positive rational multiple of cs with coprime integer entries."""
+    den = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
 class UniPoly:
-    """Dense univariate polynomial over the rationals, lowest degree first."""
+    """A univariate polynomial up to a positive factor, lowest degree first.
+
+    The constructor scales its rational coefficients by a positive rational
+    to coprime integers, and that primitive multiple is what is stored.  A
+    UniPoly therefore stands for its roots and its sign at every point, not
+    its values: polynomials that differ by a positive factor are equal, and
+    ``p(x)`` is the value of the primitive multiple.
+    """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        object.__setattr__(self, "_coeffs", _primitive(cs))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UniPoly is immutable")
@@ -41,12 +61,8 @@ class UniPoly:
     def zero(cls) -> "UniPoly":
         return cls()
 
-    @classmethod
-    def const(cls, c: Scalar) -> "UniPoly":
-        return cls([c])
-
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
     @property
@@ -59,8 +75,8 @@ class UniPoly:
             raise ZeroPolynomialError("degree of the zero polynomial")
         return len(self._coeffs) - 1
 
-    def coeff(self, k: int) -> Fraction:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
+    def coeff(self, k: int) -> int:
+        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
 
     def __call__(self, x: Scalar) -> Fraction:
         x = x if isinstance(x, Fraction) else Fraction(x)
@@ -76,22 +92,12 @@ class UniPoly:
         return hash(self._coeffs)
 
     def __repr__(self) -> str:
-        return f"UniPoly({[str(c) for c in self._coeffs]})"
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self._coeffs), len(other._coeffs))
-        return UniPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        return f"UniPoly({list(self._coeffs)})"
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             return UniPoly([c * other for c in self._coeffs])
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs))
+        out = [0] * (len(self._coeffs) + len(other._coeffs))
         for i, a in enumerate(self._coeffs):
             if not a:
                 continue
@@ -105,19 +111,11 @@ class UniPoly:
         return UniPoly([k * c for k, c in enumerate(self._coeffs)][1:])
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """Quotient and remainder, each up to the same positive factor."""
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self._coeffs)
-        dn, dd = len(rem) - 1, other.degree
-        lead = other._coeffs[-1]
-        quo = [Fraction(0)] * max(dn - dd + 1, 0)
-        for k in range(dn - dd, -1, -1):
-            c = rem[dd + k] / lead
-            if c:
-                quo[k] = c
-                for i, b in enumerate(other._coeffs):
-                    rem[i + k] -= c * b
-        return UniPoly(quo), UniPoly(rem)
+        q, r = _pseudo_divmod(self._coeffs, other._coeffs)
+        return UniPoly(q), UniPoly(r)
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
@@ -125,90 +123,67 @@ class UniPoly:
             raise ValueError("division is not exact")
         return q
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        return self * (1 / self._coeffs[-1])
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division over the integers: |lc(b)|^k * a = q*b + r, deg r < deg b.
+
+    With k = deg a - deg b + 1 every step of the long division below
+    divides exactly, and as |lc(b)|^k > 0, q and r are positive multiples of
+    the rational quotient and remainder.  b must be nonzero.
+    """
+    n, lead = len(b) - 1, b[-1]
+    k = len(a) - n
+    r = [c * abs(lead) ** k for c in a] if k > 0 else list(a)
+    q = [0] * max(k, 0)
+    for s in range(k - 1, -1, -1):
+        c = q[s] = r[s + n] // lead
+        for i, bc in enumerate(b):
+            r[s + i] -= c * bc
+    del r[n:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _positive(p: UniPoly) -> UniPoly:
+    return p * -1 if p.coeffs and p.coeffs[-1] < 0 else p
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals."""
+    """Greatest common divisor, primitive with a positive leading coefficient.
+
+    The primitive PRS: Euclid with each pseudo-remainder reduced to its
+    primitive part, all in integers.
+    """
     while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+        a, b = b, UniPoly(_pseudo_divmod(a.coeffs, b.coeffs)[1])
+    return _positive(a)
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
-    """p divided by gcd(p, p'); same roots, all simple."""
+    """p divided by gcd(p, p'): same roots, all simple.
+
+    Primitive, with a positive leading coefficient.
+    """
     if p.is_zero:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
-    if p.degree == 0:
-        return p.monic()
-    return p.exact_div(poly_gcd(p, p.derivative())).monic()
+    return _positive(p.exact_div(poly_gcd(p, p.derivative())))
 
 
-# -- integer Sturm chains ----------------------------------------------------
+def sturm_chain(p: UniPoly) -> list[tuple[int, ...]]:
+    """Sturm chain of p, each entry the coefficients of a UniPoly.
 
-
-def _int_primitive(p: UniPoly) -> list[int]:
-    """Scale to integer coefficients and divide out the content; keeps sign."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints] if g else ints
-
-
-def _ideg(a: Sequence[int]) -> int:
-    return len(a) - 1
-
-
-def _prem_negated(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of -(a mod b), the Sturm chain successor step.
-
-    Works over the integers: each reduction multiplies the remainder by the
-    leading coefficient of b, and the accumulated sign is corrected at the
-    end so the result is a positive multiple of -(a mod b).
+    The successor of (a, b) is the primitive part of -(a mod b), computed
+    by pseudo-division; positive factors leave every sign unchanged.
     """
-    lead = b[-1]
-    r = list(a)
-    steps = 0
-    while r and _ideg(r) >= _ideg(b):
-        shift = _ideg(r) - _ideg(b)
-        top = r[-1]
-        r = [lead * c for c in r]
-        for i, bc in enumerate(b):
-            r[i + shift] -= top * bc
-        while r and r[-1] == 0:
-            r.pop()
-        steps += 1
-    if lead < 0 and steps % 2 == 1:
-        r = [-c for c in r]
-    r = [-c for c in r]
-    g = 0
-    for v in r:
-        g = gcd(g, v)
-    return [v // g for v in r] if g else r
-
-
-def sturm_chain(p: UniPoly) -> list[list[int]]:
-    """Sturm chain of p as primitive integer polynomials."""
-    p0 = _int_primitive(p)
-    chain = [p0]
-    if _ideg(p0) >= 1:
-        d = [k * c for k, c in enumerate(p0)][1:]
-        g = 0
-        for v in d:
-            g = gcd(g, v)
-        chain.append([v // g for v in d] if g else d)
-        while _ideg(chain[-1]) >= 1:
-            nxt = _prem_negated(chain[-2], chain[-1])
-            if not nxt:
+    chain = [p.coeffs]
+    if len(p.coeffs) > 1:
+        chain.append(p.derivative().coeffs)
+        while len(chain[-1]) > 1:
+            r = _pseudo_divmod(chain[-2], chain[-1])[1]
+            if not r:
                 break
-            chain.append(nxt)
+            chain.append(UniPoly([-c for c in r]).coeffs)
     return chain
 
 
@@ -230,7 +205,7 @@ def _sign_at_inf(coeffs: Sequence[int], positive: bool) -> int:
     if not coeffs:
         return 0
     s = (coeffs[-1] > 0) - (coeffs[-1] < 0)
-    if not positive and _ideg(coeffs) % 2 == 1:
+    if not positive and len(coeffs) % 2 == 0:
         s = -s
     return s
 
@@ -243,12 +218,12 @@ def _variations(signs: Iterable[int]) -> int:
 Endpoint = Union[Fraction, None]
 
 
-def _signs(chain: list[list[int]], x: Fraction) -> list[int]:
+def _signs(chain: list[tuple[int, ...]], x: Fraction) -> list[int]:
     num, den = x.numerator, x.denominator
     return [_sign_at(c, num, den) for c in chain]
 
 
-def _chain_variations(chain: list[list[int]], x: Endpoint, positive_inf: bool = True) -> int:
+def _chain_variations(chain: list[tuple[int, ...]], x: Endpoint, positive_inf: bool = True) -> int:
     if x is None:
         return _variations(_sign_at_inf(c, positive_inf) for c in chain)
     return _variations(_signs(chain, x))
@@ -286,7 +261,7 @@ def cauchy_bound(p: UniPoly) -> Fraction:
         return Fraction(1)
     lead = abs(p.coeffs[-1])
     top = max(abs(c) for c in p.coeffs[:-1])
-    return 1 + top / lead
+    return 1 + Fraction(top, lead)
 
 
 # -- root isolation ----------------------------------------------------------
@@ -313,7 +288,7 @@ class FactorWitness:
             raise ValueError("exact root outside its interval")
 
 
-def _grid_roots(chain: list[list[int]], bound: Fraction) -> list[Fraction]:
+def _grid_roots(chain: list[tuple[int, ...]], bound: Fraction) -> list[Fraction]:
     """Every rational root of the square-free chain[0] in (-bound, bound), ascending.
 
     By the rational root theorem each one is k/lc for an integer k, lc the
@@ -346,12 +321,12 @@ def _grid_roots(chain: list[list[int]], bound: Fraction) -> list[Fraction]:
     return roots
 
 
-def _count_open(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
+def _count_open(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> int:
     """Distinct roots of the square-free chain[0] in (lo, hi); hi is not a root."""
     return _variations(_signs(chain, lo)) - _variations(_signs(chain, hi))
 
 
-def _shrink_around(chain: list[list[int]], root: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
+def _shrink_around(chain: list[tuple[int, ...]], root: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
     """Interval around a known exact root containing no other root of chain[0]."""
     w = radius
     while True:
@@ -361,7 +336,7 @@ def _shrink_around(chain: list[list[int]], root: Fraction, radius: Fraction) -> 
         w /= 2
 
 
-def _isolate_segment(chain: list[list[int]], lo: Fraction, hi: Fraction,
+def _isolate_segment(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction,
                      out: list[tuple[Fraction, Fraction, Optional[Fraction]]]) -> None:
     """Isolate the roots of chain[0] inside (lo, hi), none of them rational.
 
@@ -381,7 +356,7 @@ def _isolate_segment(chain: list[list[int]], lo: Fraction, hi: Fraction,
         stack.append((mid, b))
 
 
-def _off_zero(chain: list[list[int]], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+def _off_zero(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an interval isolating an irrational root so zero is not an endpoint."""
     while lo == 0 or hi == 0:
         mid = (lo + hi) / 2
@@ -461,10 +436,13 @@ class FactorTest:
     lambda_poly: UniPoly
 
 
-def quasi_factor_test(h: BivarPoly, t: QuasiType) -> FactorTest:
-    """Decide whether h has a factor v^t1 - a*u^t2 with real a != 0.
+def dehomogenize(h: BivarPoly, t: QuasiType) -> UniPoly:
+    """h as a polynomial g in one variable: g(a) = 0 exactly when v^t1 - a*u^t2 divides h.
 
-    h must be nonzero and quasi-homogeneous of type t with t1, t2 >= 1.
+    h must be nonzero and quasi-homogeneous of type t with t1, t2 >= 1.  Its
+    monomial content u^a v^b is pulled out; the term u^i v^j left has
+    i = a + t2*s, and its coefficient becomes that of lambda^(m - s), m the
+    largest s.  For t = (1, 1) this is the substitution u = 1, v = lambda.
     """
     t1, t2 = quasi_type(*t)
     if t1 < 1 or t2 < 1:
@@ -477,12 +455,20 @@ def quasi_factor_test(h: BivarPoly, t: QuasiType) -> FactorTest:
     if span % (t1 * t2) != 0:
         raise ValueError(f"support of h is not of type {(t1, t2)}")
     m_top = span // (t1 * t2)
-    coeffs = [Fraction(0)] * (m_top + 1)
+    coeffs: list[Scalar] = [0] * (m_top + 1)
     for (i, j), c in h.terms():
         step, rem = divmod(i - a, t2)
         if rem:
             raise ValueError(f"support of h is not of type {(t1, t2)}")
         coeffs[m_top - step] = c
-    lam = UniPoly(coeffs)
+    return UniPoly(coeffs)
+
+
+def quasi_factor_test(h: BivarPoly, t: QuasiType) -> FactorTest:
+    """Decide whether h has a factor v^t1 - a*u^t2 with real a != 0.
+
+    h must be nonzero and quasi-homogeneous of type t with t1, t2 >= 1.
+    """
+    lam = dehomogenize(h, t)
     witnesses = tuple(nonzero_real_roots(lam))
     return FactorTest(bool(witnesses), witnesses, lam)

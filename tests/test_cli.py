@@ -151,3 +151,25 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["factor-test", "u*v"])
     assert exc.value.code == 1
+
+
+# -- hostile input ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, message", [
+    ("f = x^99999999999999999999; g = y", "exponent 99999999999999999999 exceeds"),
+    ("f = " + "(" * 200 + "x" + ")" * 200 + "; g = y", "nesting deeper than 100 at byte 104"),
+    ("f = " + "-" * 1000 + "x; g = y", "nesting deeper than 100 at byte 104"),
+], ids=["exponent", "parentheses", "unary-minus"])
+def test_hostile_input_is_a_parse_error(capsys, text, message):
+    assert main(["check", text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_exponent_overflow_in_a_product_exits_one(capsys):
+    # Each factor is within the cap; their product is not.
+    assert main(["check", f"f = x^{2 ** 62} * x; g = y"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exponent") and "Traceback" not in err

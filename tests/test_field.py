@@ -12,11 +12,11 @@ from monodroma import (
     common_real_linear_factors,
     hamiltonian_field,
     leading_forms,
-    quasi_field_components,
     real_linear_factor_exists,
     split,
     support,
 )
+from monodroma.oracle import quasi_field_components
 
 from genmaps import (
     example1_map,

@@ -78,6 +78,26 @@ def test_error_offsets_point_at_offending_byte():
     assert "end of input" in str(err.value)
 
 
+def test_nesting_depth_is_bounded():
+    assert parse_poly("(" * 100 + "x" + ")" * 100) == X
+    assert parse_poly("-" * 100 + "x") == X
+    assert parse_poly("-(" * 50 + "x" + ")" * 50) == X
+    for text in ("(" * 101 + "x" + ")" * 101, "(" * 200 + "x" + ")" * 200,
+                 "-" * 1000 + "x", "-(" * 50 + "-x" + ")" * 50):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert err.value.offset == 100
+        assert "nesting deeper than 100" in str(err.value)
+
+
+def test_exponent_beyond_the_cap_is_a_parse_error():
+    assert parse_poly(f"x^{2 ** 62}") == X ** (2 ** 62)
+    with pytest.raises(ParseError) as err:
+        parse_poly("y + x^99999999999999999999")
+    assert err.value.offset == 6
+    assert "exceeds" in str(err.value)
+
+
 def test_error_offsets_are_bytes_not_code_points():
     # A two-byte character before the error shifts the byte offset.
     with pytest.raises(ParseError) as err:

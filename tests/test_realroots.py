@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +12,12 @@ from monodroma import (
     FactorWitness,
     UniPoly,
     cauchy_bound,
+    dehomogenize,
     nonzero_real_roots,
     poly_gcd,
     quasi_factor_test,
     squarefree_part,
+    sturm_chain,
     sturm_count,
 )
 from monodroma.oracle import numeric_root_count, refine_witness
@@ -234,6 +236,129 @@ def test_factor_witness_validation():
         FactorWitness(Fraction(-1), Fraction(1), 1)
     with pytest.raises(ValueError):
         FactorWitness(Fraction(1), Fraction(2), 1, exact=Fraction(3))
+
+
+# -- the primitive integer kernel ----------------------------------------------
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_fraction_polys = st.lists(_rationals, min_size=1, max_size=7).filter(lambda cs: cs[-1] != 0)
+_positive_scales = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _value(cs, x):
+    return sum(c * x ** k for k, c in enumerate(cs))
+
+
+def _naive_divmod(a, b):
+    """Long division over Fractions, lowest degree first; b has a nonzero top."""
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for i, bc in enumerate(b):
+            rem[i + k] -= c * bc
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _naive_sturm_chain(cs):
+    chain = [list(cs), [k * c for k, c in enumerate(cs)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _naive_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _positive_multiple(ints, fracs):
+    """Whether the integer coefficients are a positive multiple of the Fractions."""
+    if len(ints) != len(fracs):
+        return False
+    scale = Fraction(ints[-1]) / fracs[-1]
+    return scale > 0 and all(i == scale * f for i, f in zip(ints, fracs))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_fraction_polys, _positive_scales, st.lists(_rationals, min_size=1, max_size=5))
+def test_unipoly_is_the_primitive_integer_multiple(cs, scale, points):
+    p = UniPoly(cs)
+    assert UniPoly([scale * c for c in cs]) == p
+    assert p * scale == p
+    assert all(type(c) is int for c in p.coeffs)
+    assert gcd(*p.coeffs) == 1
+    assert _positive_multiple(p.coeffs, cs)
+    for x in points:
+        assert _sign(p(x)) == _sign(_value(cs, x))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_fraction_polys, _fraction_polys)
+def test_pseudo_division_and_sturm_chain_match_fraction_arithmetic(a, b):
+    q, r = UniPoly(a).divmod(UniPoly(b))
+    naive_q, naive_r = _naive_divmod(a, b)
+    assert q == UniPoly(naive_q) and r == UniPoly(naive_r)
+    chain = sturm_chain(UniPoly(a))
+    naive = _naive_sturm_chain(a) if len(a) > 1 else [a]
+    assert len(chain) == len(naive)
+    for entry, reference in zip(chain, naive):
+        assert entry == UniPoly(entry).coeffs
+        assert _positive_multiple(entry, reference)
+
+
+_linear = st.tuples(st.integers(-6, 6), st.integers(1, 4))
+
+
+def _product(factors, extra=()):
+    p = UniPoly([1])
+    for root_num, root_den in factors:
+        p = p * UniPoly([-root_num, root_den])
+    for cs in extra:
+        p = p * UniPoly(cs)
+    return p
+
+
+def _sympy_poly(sympy, p, x):
+    return sympy.Poly(list(reversed(p.coeffs)), x, domain="QQ")
+
+
+def _from_sympy(poly):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    ref = UniPoly(coeffs)
+    return ref * -1 if ref.coeffs[-1] < 0 else ref
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.lists(_linear, max_size=3), st.lists(_linear, max_size=3), st.lists(_linear, max_size=3),
+       st.lists(_fraction_polys, max_size=2))
+def test_gcd_and_squarefree_part_match_sympy(common, only_a, only_b, extra):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a = _product(common + only_a + only_a, extra)
+    b = _product(common + only_b, extra[:1])
+    g = poly_gcd(a, b)
+    assert g == _from_sympy(sympy.gcd(_sympy_poly(sympy, a, x), _sympy_poly(sympy, b, x)))
+    assert g.coeffs[-1] > 0
+    sf = squarefree_part(a)
+    assert sf == _from_sympy(sympy.sqf_part(_sympy_poly(sympy, a, x)))
+    assert sf.coeffs[-1] > 0
+
+
+def test_dehomogenize_substitutes_into_a_binary_form():
+    # 2u^3 v - 5u v^3 + u^4: content u, then lambda = v/u.
+    h = U ** 3 * V * 2 - U * V ** 3 * 5 + U ** 4
+    assert dehomogenize(h, (1, 1)) == UniPoly([1, 2, 0, -5])
+    # v^3 - 8u with type (3, 1) becomes lambda - 8.
+    assert dehomogenize(V ** 3 - U * 8, (3, 1)) == UniPoly([-8, 1])
+    with pytest.raises(ValueError):
+        dehomogenize(U + V ** 2, (1, 1))
 
 
 # -- quasi-homogeneous factor test ------------------------------------------------
