@@ -16,10 +16,10 @@ that is where the injectivity certificate looks.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from typing import Iterable
 
-from .polycore import Monomial, _check_exponent, _from_integer_terms, _integer_terms
+from .polycore import BivarPoly, Monomial, _check_exponent
 from .field import PlanarField, ZERO_FIELD
 
 # Multipliers as (u-exponent, v-exponent, coefficient) terms.
@@ -58,14 +58,15 @@ def compactify(x_field: PlanarField) -> PlanarField:
     if d == 0:
         raise DegenerateTransformError(
             "cannot compactify a nonzero constant field (degree 0)")
-    (p, q), den = _integer_terms(x_field.p, x_field.q)
+    (p, den_p), (q, den_q) = x_field.p.numerators(), x_field.q.numerators()
+    den = lcm(den_p, den_q)
     # The largest exponent formed: a term of degree k gains 2(d - k) from
     # the circle power and at most 2 from its multiplier.
     _check_exponent(max(max(i, j) + 2 * (d - i - j) for terms in (p, q) for i, j in terms) + 2)
     parts: dict[int, tuple[dict[Monomial, int], dict[Monomial, int]]] = {}
-    for side, terms in enumerate((p, q)):
+    for side, (terms, scale) in enumerate(((p, den // den_p), (q, den // den_q))):
         for (i, j), c in terms.items():
-            parts.setdefault(i + j, ({}, {}))[side][(i, j)] = c
+            parts.setdefault(i + j, ({}, {}))[side][(i, j)] = c * scale
     out_p: dict[Monomial, int] = {}
     out_q: dict[Monomial, int] = {}
     for k, (p_k, q_k) in parts.items():
@@ -79,4 +80,4 @@ def compactify(x_field: PlanarField) -> PlanarField:
         circle = [(2 * s, 2 * (m - s), comb(m, s)) for s in range(m + 1)]
         _add_product(out_p, a_k.items(), circle)
         _add_product(out_q, b_k.items(), circle)
-    return PlanarField(_from_integer_terms(out_p, den), _from_integer_terms(out_q, den))
+    return PlanarField(BivarPoly.from_numerators(out_p, den), BivarPoly.from_numerators(out_q, den))

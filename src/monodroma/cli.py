@@ -1,15 +1,15 @@
 """Command-line interface.
 
 Exit codes for ``check``: 0 Injective, 2 Inconclusive, 3 NotApplicable,
-1 usage, parse or input error (an exponent past polycore.MAX_EXPONENT too).  The environment variable MONODROMA_SEED fixes the
-seed of every randomized subroutine (determinant sampling, oracle starts).
+1 usage, parse or input error (an exponent past polycore.MAX_EXPONENT too).
+No subcommand draws random numbers at run time: the same input always gives
+the same output, apart from timings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -32,16 +32,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _seed() -> Optional[int]:
-    raw = os.environ.get("MONODROMA_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"MONODROMA_SEED must be an integer, got {raw!r}")
 
 
 def _print_certificate(cert) -> None:
@@ -79,8 +69,7 @@ def _print_certificate(cert) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     f, g = parse_map(args.map)
-    cert = certify(f, g, assume_det=args.assume_det, seed=_seed(),
-                   with_oracle=args.with_oracle)
+    cert = certify(f, g, assume_det=args.assume_det, with_oracle=args.with_oracle)
     if args.json:
         print(json.dumps(cert.to_json_dict(), indent=2))
     else:

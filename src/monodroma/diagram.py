@@ -17,7 +17,9 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .polycore import BivarPoly, QuasiType, quasi_type
-from .field import PlanarField, SplitField, split, support
+from .field import PlanarField, SplitField, split, support_points
+# Not called here: tracers wrap the name monodroma.diagram.support (bench/spans.py).
+from .field import support  # noqa: F401
 
 
 def newton_chain(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -139,22 +141,18 @@ def _edge_type(a: tuple[int, int], b: tuple[int, int]) -> QuasiType:
 
 
 def _highest_x_coeff(h: BivarPoly) -> Fraction:
-    (i, j), _ = max(h.terms(), key=lambda term: term[0][0])
-    return h.coeff(i, j)
+    return max(h.terms(), key=lambda term: term[0][0])[1]
 
 
 def _highest_y_coeff(h: BivarPoly) -> Fraction:
-    (i, j), _ = max(h.terms(), key=lambda term: term[0][1])
-    return h.coeff(i, j)
+    return max(h.terms(), key=lambda term: term[0][1])[1]
 
 
 def build_diagram(x_field: PlanarField) -> NewtonDiagram:
     """Newton diagram of a nonzero field, with edge splittings and betas."""
-    pts = support(x_field)
-    coeffs = {sp.point: sp.coeff for sp in pts}
-    chain = newton_chain([sp.point for sp in pts])
     vertices = tuple(
-        Vertex(p, coeffs[p], "exterior" if 0 in p else "inner") for p in chain
+        Vertex(pt, x_field.support_coeff(*pt), "exterior" if 0 in pt else "inner")
+        for pt in newton_chain(support_points(x_field))
     )
 
     bounded: list[Edge] = []

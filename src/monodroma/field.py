@@ -43,6 +43,10 @@ class PlanarField:
         degs = [c.total_degree() for c in (self.p, self.q) if not c.is_zero]
         return max(degs)
 
+    def support_coeff(self, i: int, j: int) -> tuple[Fraction, Fraction]:
+        """Vector coefficient (a, b) at a lattice point: those of y*p and x*q."""
+        return self.p.coeff(i, j - 1), self.q.coeff(i - 1, j)
+
     def divergence(self) -> BivarPoly:
         return self.p.partial(0) + self.q.partial(1)
 
@@ -74,12 +78,15 @@ def support(x_field: PlanarField) -> list[SupportPoint]:
 
     Sorted lexicographically by lattice point.  Error on the zero field.
     """
+    return [SupportPoint(pt, x_field.support_coeff(*pt)) for pt in sorted(support_points(x_field))]
+
+
+def support_points(x_field: PlanarField) -> set[tuple[int, int]]:
+    """The lattice points of supp(X), without coefficients.  Error on the zero field."""
     if x_field.is_zero:
         raise ZeroPolynomialError("support of the zero field")
-    a = {(i, j + 1): c for (i, j), c in x_field.p.items()}
-    b = {(i + 1, j): c for (i, j), c in x_field.q.items()}
-    zero = Fraction(0)
-    return [SupportPoint(pt, (a.get(pt, zero), b.get(pt, zero))) for pt in sorted(a.keys() | b.keys())]
+    (p, _), (q, _) = x_field.p.numerators(), x_field.q.numerators()
+    return {(i, j + 1) for i, j in p} | {(i + 1, j) for i, j in q}
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .monodromy import MONODROMIC, MonodromyVerdict, check_monodromic
 from .realroots import FactorWitness
 
 SCHEMA_VERSION = 1
-DEFAULT_SEED = 20260814
 
 PROVED = "ProvedNonvanishing"
 ASSUMED = "AssumedByUser"
@@ -74,7 +73,9 @@ def _even_positive_method(det: BivarPoly) -> Optional[str]:
     return None
 
 
-def _grid_points(rng: random.Random) -> list[tuple[Fraction, Fraction]]:
+def _sample_points() -> tuple[tuple[Fraction, Fraction], ...]:
+    """The half-integer grid over [-5, 5]^2, then 100 fixed pseudo-random points."""
+    rng = random.Random(20260814)
     half = Fraction(1, 2)
     grid = [Fraction(k) * half for k in range(-10, 11)]
     points = [(gx, gy) for gx in grid for gy in grid]
@@ -83,7 +84,10 @@ def _grid_points(rng: random.Random) -> list[tuple[Fraction, Fraction]]:
             Fraction(rng.randint(-1000, 1000), rng.randint(1, 100)),
             Fraction(rng.randint(-1000, 1000), rng.randint(1, 100)),
         ))
-    return points
+    return tuple(points)
+
+
+_SAMPLE_POINTS = _sample_points()
 
 
 def _bisect_zero(det: BivarPoly, pos: tuple[Fraction, Fraction],
@@ -103,14 +107,15 @@ def _bisect_zero(det: BivarPoly, pos: tuple[Fraction, Fraction],
     return ((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2), False
 
 
-def det_nonvanishing_heuristic(det: BivarPoly, seed: Optional[int] = None) -> DetStatus:
+def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
     """Conservative decision procedure for the determinant hypothesis.
 
     Deliberately incomplete: positivity proofs beyond the two syntactic
     patterns are out of scope, so a positive-definite determinant such as
     (x^2 - y^2)^2 + 1 comes back Unknown.  Zeros, however, are hunted:
-    exact evaluation on the half-integer grid over [-5, 5]^2 and 100 random
-    rational points, then bisection on any sign change.
+    exact evaluation on the half-integer grid over [-5, 5]^2 and 100 fixed
+    pseudo-random rational points, then bisection on any sign change.  The
+    sample is the same on every call, so the status is deterministic.
     """
     if det.is_zero:
         return DetStatus(VANISHES, witness=(Fraction(0), Fraction(0)), witness_exact=True,
@@ -121,10 +126,9 @@ def det_nonvanishing_heuristic(det: BivarPoly, seed: Optional[int] = None) -> De
     if method is not None:
         return DetStatus(PROVED, method=method)
 
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
     positive: Optional[tuple[Fraction, Fraction]] = None
     negative: Optional[tuple[Fraction, Fraction]] = None
-    for point in _grid_points(rng):
+    for point in _SAMPLE_POINTS:
         value = det.evaluate(*point)
         if value == 0:
             return DetStatus(VANISHES, witness=point, witness_exact=True,
@@ -178,7 +182,7 @@ class Certificate:
 
 
 def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
-            seed: Optional[int] = None, with_oracle: bool = False) -> Certificate:
+            with_oracle: bool = False) -> Certificate:
     """Run the full pipeline on F = (f, g)."""
     timings: dict[str, float] = {}
     start_total = time.perf_counter()
@@ -213,7 +217,7 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
     if assume_det and not det.is_zero:
         det_status = DetStatus(ASSUMED, detail="determinant hypothesis assumed by the caller")
     else:
-        det_status = det_nonvanishing_heuristic(det, seed=seed)
+        det_status = det_nonvanishing_heuristic(det)
     done("det", start)
     if det_status.status == VANISHES:
         return finish(NOT_APPLICABLE,

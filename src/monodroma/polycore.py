@@ -1,16 +1,20 @@
 """Exact sparse bivariate polynomials over the rationals.
 
 Everything downstream (vector fields, Newton diagrams, edge Hamiltonians)
-is built on :class:`BivarPoly`.  Coefficients are :class:`fractions.Fraction`,
-exponents are non-negative machine integers, and the zero polynomial is the
-empty term map, so equality of values is equality of representations.
+is built on :class:`BivarPoly`, stored as integer numerators ``{(i, j): n}``
+over one positive denominator in lowest terms (no zero numerator, gcd of all
+of them 1), so equality of values is equality of representations.  Every
+operation works on integers and ends in one normaliser; Fractions appear
+only where a coefficient or a value is handed out.  Exponents are
+non-negative machine integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import ItemsView, Iterable, Iterator, Mapping, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[int, int]
 Scalar = Union[int, Fraction]
@@ -45,25 +49,21 @@ def _coerce(c: Scalar) -> Fraction:
 
 
 class BivarPoly:
-    """Immutable polynomial in two variables with Fraction coefficients.
-
-    Terms are stored sparsely as ``{(i, j): c}`` with every ``c`` nonzero.
-    Instances are value objects: hashable, comparable, never mutated.
+    """Immutable polynomial in two variables with rational coefficients,
+    stored as the module docstring says.  Instances are value objects:
+    hashable, comparable, never mutated.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
-        for (i, j), c in items:
-            key = (_check_exponent(i), _check_exponent(j))
-            val = acc.get(key, Fraction(0)) + _coerce(c)
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
-        object.__setattr__(self, "_terms", acc)
+        items = [((_check_exponent(i), _check_exponent(j)), _coerce(c))
+                 for (i, j), c in (terms.items() if isinstance(terms, Mapping) else terms)]
+        den = lcm(*(c.denominator for _, c in items))
+        acc: dict[Monomial, int] = {}
+        for key, c in items:
+            acc[key] = acc.get(key, 0) + c.numerator * (den // c.denominator)
+        _normalise(acc, den, self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BivarPoly is immutable")
@@ -82,41 +82,53 @@ class BivarPoly:
     def monomial(cls, i: int, j: int, c: Scalar = 1) -> "BivarPoly":
         return cls({(i, j): c})
 
+    @classmethod
+    def from_numerators(cls, num: Mapping[Monomial, int], den: int) -> "BivarPoly":
+        """The polynomial sum num[i, j]/den x^i y^j, for integers num and
+        den > 0 in any scaling: zero entries are dropped, the fraction reduced."""
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        if num:
+            _check_exponent(min(map(min, num)))
+            _check_exponent(max(map(max, num)))
+        return _normalise(num, den)
+
     # -- inspection --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
+
+    def numerators(self) -> tuple[Mapping[Monomial, int], int]:
+        """The stored form: read-only integer numerators, unsorted, and
+        their common positive denominator, in lowest terms."""
+        return MappingProxyType(self._num), self._den
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._num.get((i, j), 0), self._den)
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Iterate terms sorted by (x-exponent, y-exponent)."""
-        return iter(sorted(self._terms.items()))
-
-    def items(self) -> ItemsView[Monomial, Fraction]:
-        """Terms in storage order, unsorted: one cheap pass over them."""
-        return self._terms.items()
+        return ((key, Fraction(n, self._den)) for key, n in sorted(self._num.items()))
 
     def support(self) -> list[Monomial]:
-        return sorted(self._terms)
+        return sorted(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BivarPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == BivarPoly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         return f"BivarPoly({self.to_string()!r})"
@@ -125,19 +137,17 @@ class BivarPoly:
 
     def __add__(self, other: "BivarPoly | Scalar") -> "BivarPoly":
         other = _as_poly(other)
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            val = acc.get(key, Fraction(0)) + c
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
-        return _raw(acc)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        acc = {key: n * sa for key, n in self._num.items()}
+        for key, n in other._num.items():
+            acc[key] = acc.get(key, 0) + n * sb
+        return _normalise(acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivarPoly":
-        return _raw({key: -c for key, c in self._terms.items()})
+        return _normalise({key: -n for key, n in self._num.items()}, self._den)
 
     def __sub__(self, other: "BivarPoly | Scalar") -> "BivarPoly":
         return self + (-_as_poly(other))
@@ -148,12 +158,11 @@ class BivarPoly:
     def __mul__(self, other: "BivarPoly | Scalar") -> "BivarPoly":
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
-            if not c:
-                return BivarPoly.zero()
-            return _raw({key: v * c for key, v in self._terms.items()})
+            return _normalise({key: n * c.numerator for key, n in self._num.items()},
+                              self._den * c.denominator)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._num or not other._num:
             return BivarPoly.zero()
         # Every exponent sum is at most the sum of the largest exponents, and
         # that sum is reached, so one check per product covers all term pairs.
@@ -161,15 +170,13 @@ class BivarPoly:
         _, dx2, dy2 = other.degrees()
         _check_exponent(dx1 + dx2)
         _check_exponent(dy1 + dy2)
-        (a,), den_a = _integer_terms(self)
-        (b,), den_b = _integer_terms(other)
         acc: dict[Monomial, int] = {}
         get = acc.get
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
+        for (i1, j1), c1 in self._num.items():
+            for (i2, j2), c2 in other._num.items():
                 key = (i1 + i2, j1 + j2)
                 acc[key] = get(key, 0) + c1 * c2
-        return _from_integer_terms(acc, den_a * den_b)
+        return _normalise(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -192,31 +199,35 @@ class BivarPoly:
         """Partial derivative; axis 0 is the first variable, 1 the second."""
         if axis not in (0, 1):
             raise ValueError("axis must be 0 or 1")
-        acc: dict[Monomial, Fraction] = {}
-        for (i, j), c in self._terms.items():
-            e = (i, j)[axis]
-            if e == 0:
-                continue
-            key = (i - 1, j) if axis == 0 else (i, j - 1)
-            acc[key] = c * e
-        return _raw(acc)
+        if axis == 0:
+            acc = {(i - 1, j): n * i for (i, j), n in self._num.items() if i}
+        else:
+            acc = {(i, j - 1): n * j for (i, j), n in self._num.items() if j}
+        return _normalise(acc, self._den)
 
     def evaluate(self, x: Scalar, y: Scalar) -> Fraction:
+        """Exact value at (x, y) = (a/b, c/d): the integer sum of n a^i b^(dx-i)
+        c^j d^(dy-j), dx and dy the degrees in x and y, over den b^dx d^dy."""
         x, y = _coerce(x), _coerce(y)
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            total += c * x**i * y**j
-        return total
+        if not self._num:
+            return Fraction(0)
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        x_exps, y_exps = {i for i, _ in self._num}, {j for _, j in self._num}
+        dx, dy = max(x_exps), max(y_exps)
+        xs = {i: a**i * b**(dx - i) for i in x_exps}
+        ys = {j: c**j * d**(dy - j) for j in y_exps}
+        total = sum(n * xs[i] * ys[j] for (i, j), n in self._num.items())
+        return Fraction(total, self._den * b**dx * d**dy)
 
     # -- degrees and gradings ----------------------------------------------
 
     def degrees(self) -> tuple[int, int, int]:
         """Return (total degree, degree in x, degree in y); error on zero."""
-        if not self._terms:
+        if not self._num:
             raise ZeroPolynomialError("degree of the zero polynomial")
-        total = max(i + j for i, j in self._terms)
-        dx = max(i for i, _ in self._terms)
-        dy = max(j for _, j in self._terms)
+        total = max(i + j for i, j in self._num)
+        dx = max(i for i, _ in self._num)
+        dy = max(j for _, j in self._num)
         return total, dx, dy
 
     def total_degree(self) -> int:
@@ -224,9 +235,9 @@ class BivarPoly:
 
     def min_exponents(self) -> tuple[int, int]:
         """Smallest x-exponent and smallest y-exponent over the support."""
-        if not self._terms:
+        if not self._num:
             raise ZeroPolynomialError("min exponents of the zero polynomial")
-        return min(i for i, _ in self._terms), min(j for _, j in self._terms)
+        return min(i for i, _ in self._num), min(j for _, j in self._num)
 
     def quasi_components(self, t: "QuasiType") -> list[tuple[int, "BivarPoly"]]:
         """Split into quasi-homogeneous parts of type t, ascending quasi-degree.
@@ -234,16 +245,17 @@ class BivarPoly:
         The zero polynomial yields an empty list.
         """
         t1, t2 = quasi_type(*t)
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for (i, j), c in self._terms.items():
-            buckets.setdefault(t1 * i + t2 * j, {})[(i, j)] = c
-        return [(k, _raw(buckets[k])) for k in sorted(buckets)]
+        buckets: dict[int, dict[Monomial, int]] = {}
+        for (i, j), n in self._num.items():
+            buckets.setdefault(t1 * i + t2 * j, {})[(i, j)] = n
+        return [(k, _normalise(buckets[k], self._den)) for k in sorted(buckets)]
 
     def quasi_part(self, t: "QuasiType", degree: int) -> "BivarPoly":
         """The quasi-homogeneous part of type t and the given quasi-degree;
         zero when no term has that quasi-degree."""
         t1, t2 = quasi_type(*t)
-        return _raw({(i, j): c for (i, j), c in self._terms.items() if t1 * i + t2 * j == degree})
+        return _normalise({(i, j): n for (i, j), n in self._num.items() if t1 * i + t2 * j == degree},
+                          self._den)
 
     def homogeneous_components(self) -> list[tuple[int, "BivarPoly"]]:
         return self.quasi_components((1, 1))
@@ -269,24 +281,24 @@ class BivarPoly:
 
     def to_string(self, variables: tuple[str, str] = ("x", "y")) -> str:
         """Render in the grammar accepted by the expression parser."""
-        if not self._terms:
+        if not self._num:
             return "0"
         vx, vy = variables
         parts: list[str] = []
-        for (i, j), c in sorted(self._terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])):
+        for (i, j), n in sorted(self._num.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])):
             factors: list[str] = []
             if i:
                 factors.append(vx if i == 1 else f"{vx}^{i}")
             if j:
                 factors.append(vy if j == 1 else f"{vy}^{j}")
-            mag = abs(c)
+            mag = Fraction(abs(n), self._den)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
             body = "*".join(factors)
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def to_term_list(self) -> list[tuple[int, int, str]]:
@@ -298,31 +310,19 @@ class BivarPoly:
         return cls({(int(i), int(j)): Fraction(c) for i, j, c in items})
 
 
-def _raw(terms: dict[Monomial, Fraction]) -> BivarPoly:
-    """Wrap an already-canonical term dict without re-validating."""
-    p = BivarPoly.__new__(BivarPoly)
-    object.__setattr__(p, "_terms", terms)
+def _normalise(num: Mapping[Monomial, int], den: int, p: BivarPoly | None = None) -> BivarPoly:
+    """num/den in lowest terms, stored in p (a new instance by default);
+    den > 0 and the exponents are checked by the caller."""
+    num = {key: n for key, n in num.items() if n}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {key: n // g for key, n in num.items()}
+        den //= g
+    if p is None:
+        p = BivarPoly.__new__(BivarPoly)
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_den", den)
     return p
-
-
-def _integer_terms(*polys: BivarPoly) -> tuple[list[dict[Monomial, int]], int]:
-    """Scale polynomials to integer term dicts over one common denominator.
-
-    Returns the integer dicts, in argument order, and the denominator: the
-    lcm of every coefficient denominator.
-    """
-    den = lcm(*(c.denominator for p in polys for c in p._terms.values()))
-    return [
-        {key: c.numerator * (den // c.denominator) for key, c in p._terms.items()}
-        for p in polys
-    ], den
-
-
-def _from_integer_terms(acc: Mapping[Monomial, int], den: int) -> BivarPoly:
-    """The polynomial with coefficients acc/den; zero entries are dropped."""
-    if den == 1:
-        return _raw({key: Fraction(c) for key, c in acc.items() if c})
-    return _raw({key: Fraction(c, den) for key, c in acc.items() if c})
 
 
 def _as_poly(value: "BivarPoly | Scalar") -> BivarPoly:

@@ -455,8 +455,9 @@ def dehomogenize(h: BivarPoly, t: QuasiType) -> UniPoly:
     if span % (t1 * t2) != 0:
         raise ValueError(f"support of h is not of type {(t1, t2)}")
     m_top = span // (t1 * t2)
-    coeffs: list[Scalar] = [0] * (m_top + 1)
-    for (i, j), c in h.terms():
+    coeffs = [0] * (m_top + 1)
+    num, _ = h.numerators()  # a UniPoly is defined up to a positive factor
+    for (i, j), c in num.items():
         step, rem = divmod(i - a, t2)
         if rem:
             raise ValueError(f"support of h is not of type {(t1, t2)}")

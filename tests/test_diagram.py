@@ -148,7 +148,8 @@ def test_edges_are_sorted_with_increasing_exponent():
 
 
 def test_edge_lines_support_everything():
-    # Every support point lies on or above every edge line.
+    # Every support point lies on or above every edge line, and every vertex
+    # carries the support's coefficient at its point.
     rng = random.Random(505)
     from genmaps import rand_any_map
     from monodroma import compactify
@@ -161,11 +162,12 @@ def test_edge_lines_support_everything():
         checked += 1
         b_field = compactify(field)
         dia = build_diagram(b_field)
-        pts = [s.point for s in support(b_field)]
+        coeffs = {s.point: s.coeff for s in support(b_field)}
+        pts = list(coeffs)
         for e in dia.edges:
             assert all(e.t[0] * x + e.t[1] * y >= e.line_value for x, y in pts)
         for v in dia.vertices:
-            assert v.point in pts
+            assert v.point in coeffs and v.coeff == coeffs[v.point]
 
 
 def test_unbounded_rays_added_off_axis():

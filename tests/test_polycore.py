@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,13 +213,37 @@ _polys = st.one_of(
 ).map(BivarPoly)
 
 
-def _naive_product(a: BivarPoly, b: BivarPoly) -> dict:
+def _value(p: BivarPoly) -> dict:
+    """The coefficients as Fractions, read straight off the stored form."""
+    num, den = p.numerators()
+    return {key: Fraction(n, den) for key, n in num.items()}
+
+
+def _nonzero(acc: dict) -> dict:
+    return {key: c for key, c in acc.items() if c}
+
+
+def _naive_sum(a: dict, b: dict) -> dict:
+    acc = dict(a)
+    for key, c in b.items():
+        acc[key] = acc.get(key, Fraction(0)) + c
+    return _nonzero(acc)
+
+
+def _naive_product(a: dict, b: dict) -> dict:
     acc = {}
-    for (i1, j1), c1 in a.terms():
-        for (i2, j2), c2 in b.terms():
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
             key = (i1 + i2, j1 + j2)
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-    return {key: c for key, c in acc.items() if c}
+    return _nonzero(acc)
+
+
+def _assert_canonical(p: BivarPoly) -> None:
+    num, den = p.numerators()
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in num.values())
+    assert gcd(den, *num.values()) == 1
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -226,6 +251,73 @@ def _naive_product(a: BivarPoly, b: BivarPoly) -> dict:
 def test_product_matches_naive_fraction_product(a, b):
     product = a * b
     terms = dict(product.terms())
-    assert terms == _naive_product(a, b)
+    assert terms == _naive_product(dict(a.terms()), dict(b.terms()))
     assert all(type(c) is Fraction for c in terms.values())
     assert product == b * a
+
+
+_types = st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 0), (0, 1), (2, 3)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_polys, _polys, _coeffs, st.integers(0, 3), _types)
+def test_every_operation_stores_the_canonical_form_of_the_fraction_result(a, b, c, n, t):
+    va, vb = _value(a), _value(b)
+    power = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        power = _naive_product(power, va)
+    cases = [
+        (a + b, _naive_sum(va, vb)),
+        (a - b, _naive_sum(va, {key: -v for key, v in vb.items()})),
+        (-a, {key: -v for key, v in va.items()}),
+        (a * b, _naive_product(va, vb)),
+        (a * c, _nonzero({key: v * c for key, v in va.items()})),
+        (c * a, _nonzero({key: v * c for key, v in va.items()})),
+        (a ** n, power),
+        (a.partial(0), {(i - 1, j): v * i for (i, j), v in va.items() if i}),
+        (a.partial(1), {(i, j - 1): v * j for (i, j), v in va.items() if j}),
+    ]
+    t1, t2 = t
+    degree = lambda key: t1 * key[0] + t2 * key[1]
+    comps = a.quasi_components(t)
+    assert [d for d, _ in comps] == sorted({degree(key) for key in va})
+    for d, part in comps:
+        want = {key: v for key, v in va.items() if degree(key) == d}
+        cases += [(part, want), (a.quasi_part(t, d), want)]
+    cases.append((a.quasi_part(t, -1), {}))
+    num, den = a.numerators()
+    cases.append((BivarPoly.from_numerators({key: 6 * m for key, m in num.items()}, 6 * den), va))
+    for poly, want in cases:
+        _assert_canonical(poly)
+        assert _value(poly) == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_polys, _polys)
+def test_equal_values_hash_equal(a, b):
+    for same in ((a + b) - b, (a * 3) * Fraction(1, 3), BivarPoly(dict(a.terms()))):
+        assert same == a and hash(same) == hash(a)
+    half = BivarPoly.monomial(1, 0, Fraction(1, 2))
+    assert half + half == X and hash(half + half) == hash(X)
+    assert (X - X) == BivarPoly.zero() and hash(X - X) == hash(BivarPoly.zero())
+
+
+_points = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-5, 5, max_denominator=7))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_polys, _points, _points)
+def test_evaluate_matches_naive_fraction_sum(a, x, y):
+    want = sum((c * Fraction(x) ** i * Fraction(y) ** j for (i, j), c in _value(a).items()),
+               Fraction(0))
+    got = a.evaluate(x, y)
+    assert type(got) is Fraction and got == want
+    assert BivarPoly.zero().evaluate(x, y) == 0
+
+
+def test_from_numerators_rejects_bad_input():
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            BivarPoly.from_numerators({(1, 0): 1}, den)
+    with pytest.raises(ExponentOverflowError):
+        BivarPoly.from_numerators({(2 ** 62 + 1, 0): 1}, 1)
