@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .parser import ParseError, parse_bindings, parse_map, parse_poly
 from .polycore import ExponentOverflowError, quasi_type
-from .field import PlanarField, hamiltonian_field, support
+from .field import PlanarField, hamiltonian_field, support_points
 from .bendixson import compactify
 from .diagram import build_diagram
 from .monodromy import check_monodromic
@@ -85,7 +85,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
         return 3
     b_field = compactify(x_field)
     dia = build_diagram(b_field)
-    points = [sp.point for sp in support(b_field)]
+    points = support_points(b_field)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render_svg(dia, points))
@@ -103,7 +103,7 @@ def _cmd_monodromy(args: argparse.Namespace) -> int:
         return 1
     dia = build_diagram(x_field)
     verdict = check_monodromic(dia)
-    print(render_ascii(dia, [sp.point for sp in support(x_field)]))
+    print(render_ascii(dia, support_points(x_field)))
     print()
     print(f"monodromy: {verdict.outcome}")
     if verdict.reason:

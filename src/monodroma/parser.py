@@ -20,6 +20,7 @@ interpreter's recursion limit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,38 +49,26 @@ class _Token:
     value: int = 0
 
 
+# One lexeme per match, in order: a whitespace run, a decimal run, a word
+# run or any other single character, so the matches tile the whole text.
+_LEXEME = re.compile(r"(\s+)|(\d+)|(\w+)|(.)", re.DOTALL)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-
-    def byte_offset(idx: int) -> int:
-        return len(text[:idx].encode("utf-8"))
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            lexeme = text[start:i]
-            tokens.append(_Token("int", lexeme, byte_offset(start), int(lexeme)))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", text[start:i], byte_offset(start)))
-            continue
-        if ch in "+-*/^()=;":
-            tokens.append(_Token(ch, ch, byte_offset(i)))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", byte_offset(i))
-    tokens.append(_Token("end", "", byte_offset(n)))
+    offset = 0  # byte offset of the current lexeme
+    for m in _LEXEME.finditer(text):
+        space, digits, word, other = m.groups()
+        if digits:
+            tokens.append(_Token("int", digits, offset, int(digits)))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(_Token("name", word, offset))
+        elif other and other in "+-*/^()=;":
+            tokens.append(_Token(other, other, offset))
+        elif not space:
+            raise ParseError(f"unexpected character {m.group()[0]!r}", offset)
+        offset += len(m.group().encode("utf-8"))
+    tokens.append(_Token("end", "", offset))
     return tokens
 
 

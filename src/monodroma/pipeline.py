@@ -151,7 +151,11 @@ def cima_condition(f: BivarPoly, g: BivarPoly) -> bool:
     no real linear factor.  A zero component counts as divisible by every
     linear form, so only real-factor-free partners survive it.
     """
-    x_field = hamiltonian_field(f, g)
+    return _cima_condition(hamiltonian_field(f, g))
+
+
+def _cima_condition(x_field: PlanarField) -> bool:
+    """cima_condition on the Hamiltonian field of the map."""
     lam_top, omg_top = leading_forms(x_field)
     if lam_top.is_zero:
         return not real_linear_factor_exists(omg_top)
@@ -242,7 +246,7 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
     done("monodromy", start)
 
     start = time.perf_counter()
-    cima = cima_condition(f, g)
+    cima = _cima_condition(x_field)
     done("cima", start)
 
     oracle_data: Optional[list[dict]] = None

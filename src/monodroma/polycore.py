@@ -166,8 +166,8 @@ class BivarPoly:
             return BivarPoly.zero()
         # Every exponent sum is at most the sum of the largest exponents, and
         # that sum is reached, so one check per product covers all term pairs.
-        _, dx1, dy1 = self.degrees()
-        _, dx2, dy2 = other.degrees()
+        dx1, dy1 = map(max, zip(*self._num))
+        dx2, dy2 = map(max, zip(*other._num))
         _check_exponent(dx1 + dx2)
         _check_exponent(dy1 + dy2)
         acc: dict[Monomial, int] = {}

@@ -10,12 +10,14 @@ polynomial is multiplied by a positive rational, so a polynomial is kept in
 one form: its primitive integer multiple (``UniPoly``).  One integer
 pseudo-division serves division, the gcd (primitive PRS, Collins 1967), the
 square-free part and the Sturm chain successor step.  Root counting is
-Sturm's method on those chains, signs taken by integer Horner on the
-homogenized form.  Witnesses are isolating rational intervals, with exact
-values whenever a root is rational: by the rational root theorem every
-rational root of the primitive square-free part is k/lc for an integer k, lc
-its leading coefficient, so bisecting the grid of those fractions with Sturm
-counts finds them all.
+Sturm's method on those chains.  Every value and sign comes from one integer
+Horner loop on the homogenized form at a projective point (num : den):
+den > 0 is the rational num/den, and (1 : 0), (-1 : 0) stand for +inf and
+-inf, where the form is lc * (+-1)^n.  Witnesses are isolating rational
+intervals, with exact values whenever a root is rational: by the rational
+root theorem every rational root of the primitive square-free part is k/lc
+for an integer k, lc its leading coefficient, so bisecting the grid of those
+fractions with Sturm counts finds them all.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, quasi_type
 
@@ -80,10 +82,7 @@ class UniPoly:
 
     def __call__(self, x: Scalar) -> Fraction:
         x = x if isinstance(x, Fraction) else Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(*_homogenized(self._coeffs, x.numerator, x.denominator))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UniPoly) and self._coeffs == other._coeffs
@@ -187,49 +186,30 @@ def sturm_chain(p: UniPoly) -> list[tuple[int, ...]]:
     return chain
 
 
-def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Sign of the integer polynomial at num/den, den > 0.
+def _homogenized(coeffs: Sequence[int], num: int, den: int) -> tuple[int, int]:
+    """(sum c_i num^i den^(n-i), den^n) by Horner, n = len(coeffs) - 1;
+    (0, 1) for no coefficients.
 
-    Horner on the homogenized form sum c_i num^i den^(n-i), which is the
-    value times den^n and stays in integers.
+    For den != 0 the ratio is the value at num/den; at (+-1 : 0) the first
+    entry is lc * (+-1)^n, whose sign is the polynomial's near +-inf.
     """
-    acc = 0
-    scale = 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * scale
+    it = reversed(coeffs)
+    acc, scale = next(it, 0), 1
+    for c in it:
         scale *= den
-    return (acc > 0) - (acc < 0)
+        acc = acc * num + c * scale
+    return acc, scale
 
 
-def _sign_at_inf(coeffs: Sequence[int], positive: bool) -> int:
-    if not coeffs:
-        return 0
-    s = (coeffs[-1] > 0) - (coeffs[-1] < 0)
-    if not positive and len(coeffs) % 2 == 0:
-        s = -s
-    return s
+def _sturm_at(chain: list[tuple[int, ...]], num: int, den: int) -> tuple[bool, int]:
+    """Whether the projective point (num : den), den >= 0, is a root of
+    chain[0], and the number of sign variations along the chain there."""
+    values = [_homogenized(c, num, den)[0] for c in chain]
+    signs = [v > 0 for v in values if v]
+    return not values[0], sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _variations(signs: Iterable[int]) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-
-
-Endpoint = Union[Fraction, None]
-
-
-def _signs(chain: list[tuple[int, ...]], x: Fraction) -> list[int]:
-    num, den = x.numerator, x.denominator
-    return [_sign_at(c, num, den) for c in chain]
-
-
-def _chain_variations(chain: list[tuple[int, ...]], x: Endpoint, positive_inf: bool = True) -> int:
-    if x is None:
-        return _variations(_sign_at_inf(c, positive_inf) for c in chain)
-    return _variations(_signs(chain, x))
-
-
-def sturm_count(p: UniPoly, lo: Endpoint = None, hi: Endpoint = None) -> int:
+def sturm_count(p: UniPoly, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi).
 
     None stands for the corresponding infinity.  Multiplicities never count:
@@ -245,14 +225,13 @@ def sturm_count(p: UniPoly, lo: Endpoint = None, hi: Endpoint = None) -> int:
     if ps.degree == 0:
         return 0
     chain = sturm_chain(ps)
-    va = _chain_variations(chain, lo, positive_inf=False)
-    vb = _chain_variations(chain, hi, positive_inf=True)
-    count = va - vb
+    a = (-1, 0) if lo is None else (lo.numerator, lo.denominator)
+    b = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    _, va = _sturm_at(chain, *a)
+    hi_root, vb = _sturm_at(chain, *b)
     # Sign variations at a root equal the limit from the right, so a root at
     # lo is already excluded while a root at hi is included; drop the latter.
-    if hi is not None and ps(hi) == 0:
-        count -= 1
-    return count
+    return va - vb - hi_root
 
 
 def cauchy_bound(p: UniPoly) -> Fraction:
@@ -299,39 +278,38 @@ def _grid_roots(chain: list[tuple[int, ...]], bound: Fraction) -> list[Fraction]
     can hold a rational root only at its right end k/lc.
     """
     lc = abs(chain[0][-1])
-
-    def variations(k: int) -> int:
-        return _variations([_sign_at(c, k, lc) for c in chain])
-
     top = ceil(bound * lc)
     roots = []
-    stack = [(-top, top, variations(-top), variations(top))]
+    stack = [(-top, top, _sturm_at(chain, -top, lc), _sturm_at(chain, top, lc))]
     while stack:
-        a, b, va, vb = stack.pop()
-        if va == vb:
+        a, b, at_a, at_b = stack.pop()
+        if at_a[1] == at_b[1]:
             continue
         if b - a == 1:
-            if _sign_at(chain[0], b, lc) == 0:
+            if at_b[0]:
                 roots.append(Fraction(b, lc))
             continue
         m = (a + b) // 2
-        vm = variations(m)
-        stack.append((m, b, vm, vb))
-        stack.append((a, m, va, vm))
+        at_m = _sturm_at(chain, m, lc)
+        stack.append((m, b, at_m, at_b))
+        stack.append((a, m, at_a, at_m))
     return roots
 
 
-def _count_open(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots of the square-free chain[0] in (lo, hi); hi is not a root."""
-    return _variations(_signs(chain, lo)) - _variations(_signs(chain, hi))
+def _count_open(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> tuple[bool, int]:
+    """Whether lo or hi is a root of chain[0], and the roots of the
+    square-free chain[0] in (lo, hi) when neither is."""
+    lo_root, va = _sturm_at(chain, lo.numerator, lo.denominator)
+    hi_root, vb = _sturm_at(chain, hi.numerator, hi.denominator)
+    return lo_root or hi_root, va - vb
 
 
 def _shrink_around(chain: list[tuple[int, ...]], root: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
     """Interval around a known exact root containing no other root of chain[0]."""
     w = radius
     while True:
-        lo_signs, hi_signs = _signs(chain, root - w), _signs(chain, root + w)
-        if lo_signs[0] and hi_signs[0] and _variations(lo_signs) - _variations(hi_signs) == 1:
+        end_root, n = _count_open(chain, root - w, root + w)
+        if not end_root and n == 1:
             return root - w, root + w
         w /= 2
 
@@ -340,31 +318,22 @@ def _isolate_segment(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction,
                      out: list[tuple[Fraction, Fraction, Optional[Fraction]]]) -> None:
     """Isolate the roots of chain[0] inside (lo, hi), none of them rational.
 
-    With no rational root inside, no bisection point is a root.
+    With no rational root inside, no bisection point is a root.  An interval
+    with one root is kept only once neither end is zero, as witnesses must
+    exclude it.
     """
     stack = [(lo, hi)]
     while stack:
         a, b = stack.pop()
-        n = _count_open(chain, a, b)
+        n = _count_open(chain, a, b)[1]
         if n == 0:
             continue
-        if n == 1:
+        if n == 1 and a and b:
             out.append((a, b, None))
             continue
         mid = (a + b) / 2
         stack.append((a, mid))
         stack.append((mid, b))
-
-
-def _off_zero(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an interval isolating an irrational root so zero is not an endpoint."""
-    while lo == 0 or hi == 0:
-        mid = (lo + hi) / 2
-        if _count_open(chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
@@ -412,12 +381,7 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
                 _isolate_segment(chain, seg_lo, seg_hi, found)
 
     found.sort()
-    out = []
-    for lo, hi, exact in found:
-        if lo == 0 or hi == 0:
-            lo, hi = _off_zero(chain, lo, hi)
-        out.append(FactorWitness(lo, hi, 1 if lo > 0 else -1, exact))
-    return out
+    return [FactorWitness(lo, hi, 1 if lo > 0 else -1, exact) for lo, hi, exact in found]
 
 
 # -- the quasi-homogeneous factor test ---------------------------------------

@@ -164,7 +164,8 @@ def test_usage_errors_exit_one():
     ("f = x^99999999999999999999; g = y", "exponent 99999999999999999999 exceeds"),
     ("f = " + "(" * 200 + "x" + ")" * 200 + "; g = y", "nesting deeper than 100 at byte 104"),
     ("f = " + "-" * 1000 + "x; g = y", "nesting deeper than 100 at byte 104"),
-], ids=["exponent", "parentheses", "unary-minus"])
+    ("f = x^²; g = y", "unexpected character '²' at byte 6"),  # a digit, not a decimal
+], ids=["exponent", "parentheses", "unary-minus", "superscript"])
 def test_hostile_input_is_a_parse_error(capsys, text, message):
     assert main(["check", text]) == 1
     err = capsys.readouterr().err

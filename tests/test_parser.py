@@ -1,10 +1,15 @@
 """Expression grammar: precedence, rationals, bindings, error offsets."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import monodroma
 from monodroma import BivarPoly, ParseError, parse_bindings, parse_map, parse_poly
 
 from genmaps import rand_poly
@@ -106,6 +111,22 @@ def test_error_offsets_are_bytes_not_code_points():
     with pytest.raises(ParseError) as err:
         parse_poly("x + µ")
     assert err.value.offset == 4
+
+
+def test_tokenizing_is_linear_in_the_input():
+    # 150,000 terms "x + " spaced with two-byte no-break spaces, then a stray
+    # character: 900 KB that tokenize well inside the timeout only when the
+    # cost of a token's byte offset does not grow with its position.
+    code = ("from monodroma import ParseError, parse_poly\n"
+            "try:\n"
+            "    parse_poly('x\\u00a0+\\u00a0' * 150000 + '%')\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(monodroma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert done.stdout.strip() == "unexpected character '%' at byte 900000"
 
 
 def test_parse_map_bindings():

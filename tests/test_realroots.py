@@ -103,6 +103,13 @@ def test_nonzero_real_roots_irrational_witnesses():
         assert sturm_count(p, w.lo, w.hi) == 1
         # Interval contains sqrt(2) or -sqrt(2): the endpoint squares straddle 2.
         assert (w.lo * w.lo - 2) * (w.hi * w.hi - 2) < 0
+    # Bisection first isolates these roots in intervals ending at zero; the
+    # witnesses are the halves that leave zero out.
+    F = Fraction
+    assert [(w.lo, w.hi) for w in roots] == [(F(-3, 2), F(-3, 4)), (F(3, 4), F(3, 2))]
+    cubic = nonzero_real_roots(lam(1, -3, 0, 1))
+    assert [(w.lo, w.hi, w.sign) for w in cubic] == [
+        (F(-2), F(-1), -1), (F(1, 4), F(1, 2), 1), (F(1), F(2), 1)]
 
 
 def test_nonzero_real_roots_disjoint_and_signed():
@@ -218,6 +225,19 @@ def test_nonzero_real_root_count_matches_sympy(roots, quadratics, zero_power, sc
     assert len(nonzero_real_roots(p)) == len(distinct)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_planted_roots, _quadratics, _zero_powers, _scales, st.data())
+def test_sturm_count_splits_at_a_point(roots, quadratics, zero_power, scale, data):
+    p = _planted(roots, quadratics, zero_power, scale)
+    points = st.sampled_from([Fraction(0), *roots]) | st.fractions(-50, 50, max_denominator=30)
+    x, y = sorted((data.draw(points), data.draw(points)))
+    assert sturm_count(p, None, x) + sturm_count(p, x, None) + (p(x) == 0) == sturm_count(p)
+    if x < y:
+        m = (x + y) / 2
+        assert (sturm_count(p, x, m) + sturm_count(p, m, y) + (p(m) == 0)
+                == sturm_count(p, x, y))
+
+
 def test_refine_witness_narrows_and_keeps_root():
     p = lam(-2, 0, 1)
     w = [x for x in nonzero_real_roots(p) if x.sign == 1][0]
@@ -297,6 +317,8 @@ def test_unipoly_is_the_primitive_integer_multiple(cs, scale, points):
     assert _positive_multiple(p.coeffs, cs)
     for x in points:
         assert _sign(p(x)) == _sign(_value(cs, x))
+        assert p(x) == _value(p.coeffs, x)
+        assert UniPoly()(x) == 0
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
