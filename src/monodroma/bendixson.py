@@ -11,13 +11,19 @@ homogeneous component at a time keeps everything polynomial: a component
 R_k contributes R_k(u, v) * (u^2 + v^2)^(d - k) exactly.
 
 The behaviour of X in the large is then readable at the origin of b(X):
-that is where the injectivity certificate looks.
+that is where the injectivity certificate looks.  Only the terms on or
+below the segment A*Y + B*X = A*B joining the lowest support points (0, B)
+and (A, 0) on the axes feed its Newton diagram: points above it lie inside
+the hull of the support plus the first quadrant, a bounded edge's line
+meets the support only on that edge, and no edge is unbounded.  The pure-v
+terms of b(X).p are v^2 P_k(0, v) v^(2d-2k), of distinct exponents 2d+2-k,
+so B = 2d+3-k for the largest k with y^k in P; A likewise from x^k in Q.
 """
 
 from __future__ import annotations
 
-from math import comb, lcm
-from typing import Iterable
+from math import lcm
+from typing import Iterable, Optional
 
 from .polycore import BivarPoly, Monomial, _check_exponent
 from .field import PlanarField, ZERO_FIELD
@@ -52,6 +58,33 @@ def compactify(x_field: PlanarField) -> PlanarField:
     B_k = (u^2-v^2) Q_k - 2uv P_k are multiplied by (u^2+v^2)^(d-k) through
     its binomial coefficients, in integers over one common denominator.
     """
+    return _compactified(x_field, lower=False)
+
+
+def compactify_lower(x_field: PlanarField) -> PlanarField:
+    """The terms of b(X) on or below the segment of the module docstring,
+    with their full coefficients, or all of b(X) when an axis hit is
+    missing.  Certificate.compactified keeps the full b(X), built lazily."""
+    return _compactified(x_field, lower=True)
+
+
+def _kept_positions(hits: Optional[tuple[int, int]], x: int, y: int, m: int) -> range:
+    """The s in [0, m] that move the support point (x, y) to (x + 2s, y + 2(m - s))
+    on or below the segment of the axis hits (A, B): A*(y + 2m) + B*x + 2s*(B - A)
+    <= A*B.  All of them when hits is None; empty or within [0, m + 1)."""
+    if hits is None:
+        return range(m + 1)
+    a_hit, b_hit = hits
+    slack, step = a_hit * (b_hit - y - 2 * m) - b_hit * x, 2 * (b_hit - a_hit)
+    if step == 0:
+        return range(m + 1 if slack >= 0 else 0)
+    if step > 0:
+        return range(min(m, slack // step) + 1)
+    return range(max(0, -(slack // -step)), m + 1)
+
+
+def _compactified(x_field: PlanarField, lower: bool) -> PlanarField:
+    """compactify, or compactify_lower when lower is set: one loop for both."""
     if x_field.is_zero:
         return ZERO_FIELD
     d = x_field.degree()
@@ -63,21 +96,28 @@ def compactify(x_field: PlanarField) -> PlanarField:
     # The largest exponent formed: a term of degree k gains 2(d - k) from
     # the circle power and at most 2 from its multiplier.
     _check_exponent(max(max(i, j) + 2 * (d - i - j) for terms in (p, q) for i, j in terms) + 2)
+    k_p = max((j for i, j in p if i == 0), default=None)
+    k_q = max((i for i, j in q if j == 0), default=None)
+    hits = (2 * d + 3 - k_q, 2 * d + 3 - k_p) if lower and None not in (k_p, k_q) else None
+    sp, sq = den // den_p, den // den_q
     parts: dict[int, tuple[dict[Monomial, int], dict[Monomial, int]]] = {}
-    for side, (terms, scale) in enumerate(((p, den // den_p), (q, den // den_q))):
-        for (i, j), c in terms.items():
-            parts.setdefault(i + j, ({}, {}))[side][(i, j)] = c * scale
+    for terms, scale, side, factor in ((p, sp, 0, _VV_MINUS_UU), (q, sq, 0, _MINUS_TWO_UV),
+                                       (q, sq, 1, _UU_MINUS_VV), (p, sp, 1, _MINUS_TWO_UV)):
+        for key, c in terms.items():
+            _add_product(parts.setdefault(sum(key), ({}, {}))[side], ((key, c * scale),), factor)
     out_p: dict[Monomial, int] = {}
     out_q: dict[Monomial, int] = {}
-    for k, (p_k, q_k) in parts.items():
-        a_k: dict[Monomial, int] = {}
-        b_k: dict[Monomial, int] = {}
-        _add_product(a_k, p_k.items(), _VV_MINUS_UU)
-        _add_product(a_k, q_k.items(), _MINUS_TWO_UV)
-        _add_product(b_k, q_k.items(), _UU_MINUS_VV)
-        _add_product(b_k, p_k.items(), _MINUS_TWO_UV)
+    for k, (a_k, b_k) in parts.items():
         m = d - k
-        circle = [(2 * s, 2 * (m - s), comb(m, s)) for s in range(m + 1)]
-        _add_product(out_p, a_k.items(), circle)
-        _add_product(out_q, b_k.items(), circle)
+        # A term (i, j) of A_k or B_k has the support point (i, j + 1) or (i + 1, j).
+        sides = [(out, [((i, j), c, s) for (i, j), c in terms.items()
+                        if (s := _kept_positions(hits, i + ox, j + oy, m))])
+                 for out, terms, (ox, oy) in ((out_p, a_k, (0, 1)), (out_q, b_k, (1, 0)))]
+        circle, w = [], 1
+        for s in range(max((s.stop for _, kept in sides for _, _, s in kept), default=0)):
+            circle.append((2 * s, 2 * (m - s), w))
+            w = w * (m - s) // (s + 1)  # C(m, s + 1) = C(m, s) (m - s) / (s + 1)
+        for out, kept in sides:
+            for key, c, s in kept:
+                _add_product(out, ((key, c),), circle[s.start:s.stop])
     return PlanarField(BivarPoly.from_numerators(out_p, den), BivarPoly.from_numerators(out_q, den))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .polycore import MAX_EXPONENT, BivarPoly
 
@@ -101,12 +102,16 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.offset)
 
     def expr(self) -> BivarPoly:
-        acc = self.term()
+        signed = [(1, *self.term().numerators())]
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            acc = acc + rhs if op.kind == "+" else acc - rhs
-        return acc
+            signed.append((1 if self.advance().kind == "+" else -1, *self.term().numerators()))
+        # One sum over the lcm of the denominators, linear in the terms.
+        den = lcm(*(term_den for _, _, term_den in signed))
+        acc: dict[tuple[int, int], int] = {}
+        for sign, num, term_den in signed:
+            for key, n in num.items():
+                acc[key] = acc.get(key, 0) + n * sign * (den // term_den)
+        return BivarPoly.from_numerators(acc, den)
 
     def term(self) -> BivarPoly:
         acc = self.factor()

@@ -19,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .polycore import BivarPoly
@@ -26,7 +27,7 @@ from .field import (
     PlanarField, common_real_linear_factors, hamiltonian_field, leading_forms,
     real_linear_factor_exists,
 )
-from .bendixson import compactify
+from .bendixson import compactify, compactify_lower
 from .diagram import NewtonDiagram, build_diagram
 from .monodromy import MONODROMIC, MonodromyVerdict, check_monodromic
 from .realroots import FactorWitness
@@ -166,7 +167,9 @@ def _cima_condition(x_field: PlanarField) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Full record of one certification run."""
+    """Full record of one certification run.  ``compactified`` is the full
+    b(X), for auditors; certify reads only compactify_lower's terms, so it
+    is built lazily, on first access, outside the timed stages."""
 
     f: BivarPoly
     g: BivarPoly
@@ -175,11 +178,14 @@ class Certificate:
     det_status: DetStatus
     cima: Optional[bool]
     hamiltonian: Optional[PlanarField]
-    compactified: Optional[PlanarField]
     diagram: Optional[NewtonDiagram]
     monodromy: Optional[MonodromyVerdict]
     timings_ms: dict[str, float] = dataclass_field(default_factory=dict)
     oracle_winding: Optional[list[dict]] = None
+
+    @cached_property
+    def compactified(self) -> Optional[PlanarField]:
+        return None if self.hamiltonian is None else compactify(self.hamiltonian)
 
     def to_json_dict(self) -> dict:
         return _certificate_json(self)
@@ -196,12 +202,10 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
 
     def finish(verdict: str, reason: Optional[str], det: DetStatus,
                cima: Optional[bool] = None, ham: Optional[PlanarField] = None,
-               comp: Optional[PlanarField] = None, dia: Optional[NewtonDiagram] = None,
-               mono: Optional[MonodromyVerdict] = None,
+               dia: Optional[NewtonDiagram] = None, mono: Optional[MonodromyVerdict] = None,
                oracle: Optional[list[dict]] = None) -> Certificate:
         timings["total"] = (time.perf_counter() - start_total) * 1000.0
-        return Certificate(f, g, verdict, reason, det, cima, ham, comp, dia, mono,
-                           timings, oracle)
+        return Certificate(f, g, verdict, reason, det, cima, ham, dia, mono, timings, oracle)
 
     if f.is_zero and g.is_zero:
         return finish(NOT_APPLICABLE, "zero map: the Hamiltonian field vanishes identically",
@@ -234,7 +238,7 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
         return finish(NOT_APPLICABLE, "Hamiltonian field is identically zero", det_status)
 
     start = time.perf_counter()
-    b_field = compactify(x_field)
+    b_field = compactify_lower(x_field)
     done("compactify", start)
 
     start = time.perf_counter()
@@ -255,8 +259,9 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
 
         start = time.perf_counter()
         oracle_data = []
+        full_field = compactify(x_field)
         for radius in (0.05, 0.1, 0.3):
-            result = oracle.winding(b_field, (radius, 0.0))
+            result = oracle.winding(full_field, (radius, 0.0))
             oracle_data.append({
                 "start_radius": radius,
                 "angle": result.angle,
@@ -272,14 +277,10 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
     else:
         verdict = INCONCLUSIVE
         reason = f"monodromy: {mono.outcome}" + (f" ({mono.reason})" if mono.reason else "")
-    return finish(verdict, reason, det_status, cima, x_field, b_field, dia, mono, oracle_data)
+    return finish(verdict, reason, det_status, cima, x_field, dia, mono, oracle_data)
 
 
 # -- JSON serialization --------------------------------------------------------
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _point(p: tuple[int, int]) -> list[int]:
@@ -292,10 +293,10 @@ def _exponent_str(e: Optional[Fraction]) -> str:
 
 def _witness_json(w: FactorWitness) -> dict:
     return {
-        "lo": _frac(w.lo),
-        "hi": _frac(w.hi),
+        "lo": str(w.lo),
+        "hi": str(w.hi),
         "sign": w.sign,
-        "exact": None if w.exact is None else _frac(w.exact),
+        "exact": None if w.exact is None else str(w.exact),
     }
 
 
@@ -321,12 +322,12 @@ def _diagram_json(dia: NewtonDiagram, mono: Optional[MonodromyVerdict]) -> dict:
     return {
         "vertices": [{
             "point": _point(v.point),
-            "coeff": [_frac(v.coeff[0]), _frac(v.coeff[1])],
+            "coeff": [str(v.coeff[0]), str(v.coeff[1])],
             "kind": v.kind,
             "exponent": _exponent_str(v.exponent),
         } for v in dia.vertices],
         "edges": edges,
-        "betas": [{"vertex": _point(pt), "beta": _frac(beta)}
+        "betas": [{"vertex": _point(pt), "beta": str(beta)}
                   for pt, beta in dia.inner_betas],
         "beta_undefined": [{"vertex": _point(pt), "reason": reason}
                            for pt, reason in dia.beta_undefined],
@@ -339,8 +340,8 @@ def _det_json(det: DetStatus) -> dict:
         out["method"] = det.method
     if det.witness is not None:
         out["witness"] = {
-            "x": _frac(det.witness[0]),
-            "y": _frac(det.witness[1]),
+            "x": str(det.witness[0]),
+            "y": str(det.witness[1]),
             "exact": det.witness_exact,
         }
     if det.detail is not None:

@@ -11,11 +11,14 @@ from monodroma import (
     DegenerateTransformError,
     PlanarField,
     ZeroPolynomialError,
+    build_diagram,
     compactify,
+    compactify_lower,
     hamiltonian_field,
     newton_chain,
     support,
 )
+from monodroma.field import support_points
 from monodroma.oracle import diagonal_part, map_degree, pair_component
 
 from genmaps import rand_any_map, rand_homogeneous, rand_poly
@@ -181,3 +184,79 @@ def test_homogeneous_energy_piece_has_closed_form_vertices():
         c2 = w.coeff(k - n, n)
         assert field_pts[v1] == ((k - m) * c1, (2 * k - m) * c1)
         assert field_pts[v2] == ((n - 2 * k) * c2, (n - k) * c2)
+
+
+# -- compactify_lower: the terms on or below the segment of the axis hits -------
+
+
+def _axis_hits(b_field):
+    """(A, B) read off the full support: the lowest points (A, 0) and (0, B)."""
+    points = support_points(b_field)
+    a_hit = min((x for x, y in points if y == 0), default=None)
+    b_hit = min((y for x, y in points if x == 0), default=None)
+    return a_hit, b_hit
+
+
+def _check_lower(x_field):
+    """compactify_lower keeps exactly the full terms on or below the segment,
+    with their full coefficients, and the full diagram; returns (A, B)."""
+    full, lower = compactify(x_field), compactify_lower(x_field)
+    a_hit, b_hit = _axis_hits(full)
+    assert build_diagram(lower) == build_diagram(full)
+    if a_hit is None or b_hit is None:
+        assert lower == full
+        return a_hit, b_hit
+    for kept, whole, (ox, oy) in ((lower.p, full.p, (0, 1)), (lower.q, full.q, (1, 0))):
+        below = {(i, j): c for (i, j), c in whole.terms()
+                 if a_hit * (j + oy) + b_hit * (i + ox) <= a_hit * b_hit}
+        assert dict(kept.terms()) == below
+    return a_hit, b_hit
+
+
+# Pure-y and pure-x terms to add, so that most draws have both axis hits.
+_y_terms = st.dictionaries(st.integers(0, 5).map(lambda j: (0, j)), _coeffs,
+                           max_size=2).map(BivarPoly)
+_x_terms = st.dictionaries(st.integers(0, 5).map(lambda i: (i, 0)), _coeffs,
+                           max_size=2).map(BivarPoly)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_polys, _polys, _y_terms, _x_terms)
+def test_compactify_lower_on_random_fields(p, q, p_axis, q_axis):
+    field = PlanarField(p + p_axis, q + q_axis)
+    assume(not field.is_zero and field.degree() > 0)
+    _check_lower(field)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_polys, _polys, _y_terms, _x_terms)
+def test_compactify_lower_on_hamiltonian_fields(f, g, f_axis, g_axis):
+    field = hamiltonian_field(f + f_axis, g + g_axis)
+    assume(not field.is_zero and field.degree() > 0)
+    _check_lower(field)
+
+
+@pytest.mark.parametrize("p, q, hits, drops", [
+    (X, Y, (None, None), False),  # no pure-y term in P, no pure-x term in Q
+    (-Y, Y, (None, 4), False),  # only the y-axis hit
+    (X * Y, X, (6, None), False),  # only the x-axis hit
+    (-Y, X, (4, 4), False),  # the rotation: A = B, all on the segment
+    (-Y - Y ** 3, X + X * Y ** 2, (8, 6), True),  # A > B
+    (-Y + X ** 2 * Y, X + X ** 3, (6, 8), True),  # A < B
+    (-Y - Y ** 3, X + X ** 3, (6, 6), True),  # A = B, with terms above
+])
+def test_compactify_lower_axis_hit_cases(p, q, hits, drops):
+    field = PlanarField(p, q)
+    assert _check_lower(field) == hits
+    full, lower = compactify(field), compactify_lower(field)
+    assert (len(lower.p) + len(lower.q) < len(full.p) + len(full.q)) == drops
+
+
+def test_compactify_lower_sums_cancelling_contributions():
+    # For X = (1 + x, 1), (v^2 - u^2)(u^2 + v^2) puts u^2 v^2 into b(X).p
+    # twice with opposite signs.  Its support point (2, 3) lies on the
+    # segment A = B = 5, so the kept monomial must still cancel to zero.
+    field = PlanarField(1 + X, BivarPoly.const(1))
+    assert _check_lower(field) == (5, 5)
+    assert compactify(field).p.coeff(2, 2) == 0
+    assert compactify_lower(field).p.coeff(2, 2) == 0

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import monodroma
 from monodroma import BivarPoly, ParseError, parse_bindings, parse_map, parse_poly
@@ -127,6 +128,33 @@ def test_tokenizing_is_linear_in_the_input():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=30)
     assert done.stdout.strip() == "unexpected character '%' at byte 900000"
+
+
+def test_parsing_a_long_sum_is_linear_in_its_terms():
+    # 20,000 terms "c/(c+1)*x^i*y^j" summed once, not by copying the running
+    # sum per term: well inside the timeout only when the sum is linear.
+    code = ("import random\n"
+            "from monodroma import parse_poly\n"
+            "rng = random.Random(7)\n"
+            "terms = [(rng.randint(1, 999), rng.randint(0, 60), rng.randint(0, 60))\n"
+            "         for _ in range(20000)]\n"
+            "text = ' - '.join(f'{c}/{c + 1}*x^{i}*y^{j}' for c, i, j in terms)\n"
+            "print(len(parse_poly(text)))\n")
+    src = str(Path(monodroma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert 0 < int(done.stdout) <= 61 * 61
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                       st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                       max_size=12).map(BivarPoly))
+def test_to_string_round_trips(p):
+    assert parse_poly(p.to_string()) == p
+    assert parse_poly(p.to_string(("u", "v")), ("u", "v")) == p
 
 
 def test_parse_map_bindings():

@@ -38,9 +38,13 @@ from monodroma import (
     UNKNOWN,
     VANISHES,
     BivarPoly,
+    build_diagram,
     certify,
     cima_condition,
+    compactify,
+    compactify_lower,
     det_nonvanishing_heuristic,
+    hamiltonian_field,
     jacobian_det,
     parse_poly,
 )
@@ -234,7 +238,8 @@ def test_certify_example_families_are_injective():
         assert cert.det_status.status == PROVED
         assert cert.cima is False
         assert cert.monodromy.outcome == MONODROMIC
-        assert cert.diagram is not None and cert.compactified is not None
+        assert cert.diagram is not None
+        assert cert.compactified == compactify(cert.hamiltonian)
         expected = {"det", "hamiltonian_field", "compactify", "diagram",
                     "monodromy", "cima", "total"}
         assert set(cert.timings_ms) == expected
@@ -382,6 +387,32 @@ def test_certificate_with_oracle_winding():
     doc = cert.to_json_dict()
     jsonschema.validate(doc, load_schema())
     assert [run["status"] for run in doc["oracle"]["winding"]] == ["returned"] * 3
+
+
+def test_certificate_keeps_the_full_compactified_field():
+    # certify builds only the lower terms of b(X); the certificate still
+    # hands auditors the full field, and both give the same diagram.
+    f, g = parse_poly("x + (y + x^2)^5"), parse_poly("y + x^2")
+    cert = certify(f, g)
+    full = compactify(hamiltonian_field(f, g))
+    lower = compactify_lower(cert.hamiltonian)
+    assert len(lower.p) + len(lower.q) < len(full.p) + len(full.q)
+    assert cert.compactified == full
+    assert cert.diagram == build_diagram(full) == build_diagram(lower)
+    assert certify(BivarPoly.zero(), BivarPoly.zero()).compactified is None
+
+
+def test_oracle_winding_integrates_the_full_field():
+    from monodroma import oracle
+
+    f, g = example1_map([1, 1], [1])
+    x_field = hamiltonian_field(f, g)
+    assert compactify_lower(x_field) != compactify(x_field)
+    cert = certify(f, g, with_oracle=True)
+    expected = [oracle.winding(compactify(x_field), (radius, 0.0))
+                for radius in (0.05, 0.1, 0.3)]
+    assert [(run["angle"], run["status"]) for run in cert.oracle_winding] == [
+        (result.angle, result.status) for result in expected]
 
 
 def test_certificate_json_shape():
