@@ -43,8 +43,10 @@ def _print_certificate(cert) -> None:
     if det.method:
         line += f" ({det.method})"
     if det.witness is not None:
-        tag = "exact" if det.witness_exact else "approximate"
-        line += f" at {tag} witness ({det.witness[0]}, {det.witness[1]})"
+        line += f" at zero ({det.witness[0]}, {det.witness[1]})"
+    if det.segment is not None:
+        (px, py), (nx, ny) = det.segment
+        line += f" between ({px}, {py}) where det > 0 and ({nx}, {ny}) where det < 0"
     print(line)
     if cert.cima is not None:
         print(f"coprime leading forms: {'yes' if cert.cima else 'no'}")

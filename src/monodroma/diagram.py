@@ -155,24 +155,17 @@ def build_diagram(x_field: PlanarField) -> NewtonDiagram:
         for pt in newton_chain(support_points(x_field))
     )
 
-    bounded: list[Edge] = []
-    for va, vb in zip(vertices, vertices[1:]):
-        t = _edge_type(va.point, vb.point)
-        line_value = t[0] * va.point[0] + t[1] * va.point[1]
+    def edge(t: QuasiType, ends: tuple[Vertex, ...]) -> Edge:
+        line_value = t[0] * ends[0].point[0] + t[1] * ends[0].point[1]
         piece = edge_hamiltonian(x_field, t, line_value)
-        bounded.append(Edge(t, True, (va, vb), line_value, piece.k, piece.h, piece.mu))
+        return Edge(t, len(ends) == 2, ends, line_value, piece.k, piece.h, piece.mu)
 
-    edges: list[Edge] = []
+    bounded = [edge(_edge_type(va.point, vb.point), (va, vb))
+               for va, vb in zip(vertices, vertices[1:])]
     first, last = vertices[0], vertices[-1]
-    if first.point[0] > 0:
-        line_value = first.point[0]
-        piece = edge_hamiltonian(x_field, (1, 0), line_value)
-        edges.append(Edge((1, 0), False, (first,), line_value, piece.k, piece.h, piece.mu))
-    edges.extend(bounded)
+    edges = ([edge((1, 0), (first,))] if first.point[0] > 0 else []) + bounded
     if last.point[1] > 0:
-        line_value = last.point[1]
-        piece = edge_hamiltonian(x_field, (0, 1), line_value)
-        edges.append(Edge((0, 1), False, (last,), line_value, piece.k, piece.h, piece.mu))
+        edges.append(edge((0, 1), (last,)))
 
     betas: list[tuple[tuple[int, int], Fraction]] = []
     undefined: list[tuple[tuple[int, int], str]] = []

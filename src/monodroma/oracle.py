@@ -28,6 +28,10 @@ from .realroots import FactorWitness, UniPoly, sturm_count
 
 ORACLE_SEED = 20260814
 
+# Work bound of one ``winding`` call, in right-hand-side evaluations times
+# terms of the field; the README map from r = 0.05 uses 154,048 (4,814 x 32).
+WINDING_TERM_BUDGET = 2_000_000
+
 
 def brute_force_diagram(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Newton diagram vertices straight from the definition, O(n^3).
@@ -236,8 +240,8 @@ class WindingResult:
     """Accumulated polar angle along one trajectory.
 
     status: "returned" (first return to the start ray, |angle| = 2*pi),
-    "escaped" (left the safety radius), "exhausted" (arc-length budget hit),
-    or "failed" (integrator gave up).
+    "escaped" (left the safety radius), "exhausted" (arc-length budget or
+    WINDING_TERM_BUDGET hit), or "failed" (integrator gave up).
     """
 
     angle: float
@@ -253,11 +257,16 @@ def winding(field: PlanarField, start: tuple[float, float], *,
     The field is reparametrized by arc length, which keeps the integration
     honest where polynomial growth would stall or blow up the raw field.
     Terminates at the first return to the start ray (accumulated angle
-    reaching 2*pi in absolute value) or at the safety radius.
+    reaching 2*pi in absolute value), at the safety radius, or after the
+    first step that takes the term evaluations past WINDING_TERM_BUDGET.
     """
     p_eval, q_eval = _compile(field.p), _compile(field.q)
+    terms = len(field.p) + len(field.q)
+    calls, stop_at = 0, np.inf
 
     def rhs(_s: float, state: np.ndarray) -> list[float]:
+        nonlocal calls
+        calls += 1
         x, y, _theta = state
         vx, vy = p_eval(x, y), q_eval(x, y)
         norm = float(np.hypot(vx, vy))
@@ -270,21 +279,27 @@ def winding(field: PlanarField, start: tuple[float, float], *,
     def full_turn(_s: float, state: np.ndarray) -> float:
         return abs(state[2]) - 2.0 * np.pi
 
-    full_turn.terminal = True
-
     def escape(_s: float, state: np.ndarray) -> float:
         return float(np.hypot(state[0], state[1])) - safety_radius
 
-    escape.terminal = True
+    def budget(s: float, _state: np.ndarray) -> float:
+        # -inf until a step spends the budget, then 0 at that step's end.
+        nonlocal stop_at
+        if stop_at == np.inf and calls * terms > WINDING_TERM_BUDGET:
+            stop_at = s
+        return s - stop_at
+
+    for event in (full_turn, escape, budget):
+        event.terminal = True
 
     sol = solve_ivp(
         rhs, (0.0, max_arc_length), [start[0], start[1], 0.0],
-        method="RK45", rtol=rtol, atol=atol, events=[full_turn, escape],
+        method="RK45", rtol=rtol, atol=atol, events=[full_turn, escape, budget],
     )
-    if sol.t_events[0].size:
-        return WindingResult(float(sol.y_events[0][0][2]), "returned", float(sol.t_events[0][0]))
-    if sol.t_events[1].size:
-        return WindingResult(float(sol.y_events[1][0][2]), "escaped", float(sol.t_events[1][0]))
+    for idx, status in enumerate(("returned", "escaped", "exhausted")):
+        if sol.t_events[idx].size:
+            return WindingResult(float(sol.y_events[idx][0][2]), status,
+                                 float(sol.t_events[idx][0]))
     status = "exhausted" if sol.status == 0 else "failed"
     return WindingResult(float(sol.y[2, -1]), status, float(sol.t[-1]))
 

@@ -10,7 +10,8 @@ entirely in exact arithmetic and returns a Certificate recording every
 stage.  The determinant hypothesis is only ever proved by two conservative
 patterns (nonzero constant; positive constant plus even monomials with
 positive coefficients, or the global negation).  Anything else is Unknown
-unless the caller assumes it, and a found zero makes the map ineligible.
+unless the caller assumes it, and an exact zero or a sign change between two
+sample points makes the map ineligible.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .diagram import NewtonDiagram, build_diagram
 from .monodromy import MONODROMIC, MonodromyVerdict, check_monodromic
 from .realroots import FactorWitness
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PROVED = "ProvedNonvanishing"
 ASSUMED = "AssumedByUser"
@@ -43,20 +44,31 @@ INJECTIVE = "Injective"
 INCONCLUSIVE = "Inconclusive"
 NOT_APPLICABLE = "NotApplicable"
 
+Point = tuple[Fraction, Fraction]
+
 
 @dataclass(frozen=True)
 class DetStatus:
-    """What is known about the Jacobian determinant of the input map."""
+    """What is known about the Jacobian determinant of the input map.
+
+    ``VanishesAt`` carries one piece of exact evidence: a ``witness`` where
+    det = 0, or a ``segment`` (p, n) with det(p) > 0 > det(n), so det
+    vanishes between p and n by the intermediate value theorem.
+    """
 
     status: str
     method: Optional[str] = None
-    witness: Optional[tuple[Fraction, Fraction]] = None
-    witness_exact: bool = False
+    witness: Optional[Point] = None
+    segment: Optional[tuple[Point, Point]] = None
     detail: Optional[str] = None
 
     @property
     def holds(self) -> bool:
         return self.status in (PROVED, ASSUMED)
+
+    @property
+    def witness_exact(self) -> bool:
+        return self.witness is not None
 
 
 def jacobian_det(f: BivarPoly, g: BivarPoly) -> BivarPoly:
@@ -74,38 +86,18 @@ def _even_positive_method(det: BivarPoly) -> Optional[str]:
     return None
 
 
-def _sample_points() -> tuple[tuple[Fraction, Fraction], ...]:
+def _sample_points() -> tuple[Point, ...]:
     """The half-integer grid over [-5, 5]^2, then 100 fixed pseudo-random points."""
     rng = random.Random(20260814)
-    half = Fraction(1, 2)
-    grid = [Fraction(k) * half for k in range(-10, 11)]
+    grid = [Fraction(k, 2) for k in range(-10, 11)]
     points = [(gx, gy) for gx in grid for gy in grid]
     for _ in range(100):
-        points.append((
-            Fraction(rng.randint(-1000, 1000), rng.randint(1, 100)),
-            Fraction(rng.randint(-1000, 1000), rng.randint(1, 100)),
-        ))
+        x = Fraction(rng.randint(-1000, 1000), rng.randint(1, 100))
+        points.append((x, Fraction(rng.randint(-1000, 1000), rng.randint(1, 100))))
     return tuple(points)
 
 
 _SAMPLE_POINTS = _sample_points()
-
-
-def _bisect_zero(det: BivarPoly, pos: tuple[Fraction, Fraction],
-                 neg: tuple[Fraction, Fraction]) -> tuple[tuple[Fraction, Fraction], bool]:
-    """Shrink a sign-changing segment to width 1e-6; exact hit wins."""
-    tol = Fraction(1, 10**6)
-    lo, hi = pos, neg
-    while max(abs(hi[0] - lo[0]), abs(hi[1] - lo[1])) > tol:
-        mid = ((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2)
-        value = det.evaluate(*mid)
-        if value == 0:
-            return mid, True
-        if value > 0:
-            lo = mid
-        else:
-            hi = mid
-    return ((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2), False
 
 
 def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
@@ -113,13 +105,15 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
 
     Deliberately incomplete: positivity proofs beyond the two syntactic
     patterns are out of scope, so a positive-definite determinant such as
-    (x^2 - y^2)^2 + 1 comes back Unknown.  Zeros, however, are hunted:
+    (x^2 - y^2)^2 + 1 comes back Unknown.  Zeros, however, are hunted by
     exact evaluation on the half-integer grid over [-5, 5]^2 and 100 fixed
-    pseudo-random rational points, then bisection on any sign change.  The
-    sample is the same on every call, so the status is deterministic.
+    pseudo-random rational points, up to the first exact zero (the witness)
+    or the first sign change (the segment from the first point with det > 0
+    to the first with det < 0).  The sample is the same on every call, so
+    the status is deterministic.
     """
     if det.is_zero:
-        return DetStatus(VANISHES, witness=(Fraction(0), Fraction(0)), witness_exact=True,
+        return DetStatus(VANISHES, witness=(Fraction(0), Fraction(0)),
                          detail="determinant is identically zero")
     if det.support() == [(0, 0)]:
         return DetStatus(PROVED, method="nonzero constant")
@@ -127,23 +121,19 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
     if method is not None:
         return DetStatus(PROVED, method=method)
 
-    positive: Optional[tuple[Fraction, Fraction]] = None
-    negative: Optional[tuple[Fraction, Fraction]] = None
+    positive: Optional[Point] = None
+    negative: Optional[Point] = None
     for point in _SAMPLE_POINTS:
         value = det.evaluate(*point)
         if value == 0:
-            return DetStatus(VANISHES, witness=point, witness_exact=True,
-                             detail="exact zero found by sampling")
+            return DetStatus(VANISHES, witness=point, detail="exact zero found by sampling")
         if value > 0:
             positive = positive or point
         else:
             negative = negative or point
         if positive and negative:
-            witness, exact = _bisect_zero(det, positive, negative)
-            return DetStatus(
-                VANISHES, witness=witness, witness_exact=exact,
-                detail="sign change located by bisection" if not exact
-                else "exact zero found by bisection")
+            return DetStatus(VANISHES, segment=(positive, negative),
+                             detail="sign change between two sample points")
     return DetStatus(UNKNOWN, detail="no syntactic pattern matched and sampling saw one sign")
 
 
@@ -209,8 +199,7 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
 
     if f.is_zero and g.is_zero:
         return finish(NOT_APPLICABLE, "zero map: the Hamiltonian field vanishes identically",
-                      DetStatus(VANISHES, witness=(Fraction(0), Fraction(0)),
-                                witness_exact=True, detail="determinant is identically zero"))
+                      det_nonvanishing_heuristic(BivarPoly.zero()))
 
     f0, g0 = f.evaluate(0, 0), g.evaluate(0, 0)
     if f0 or g0:
@@ -262,11 +251,8 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
         full_field = compactify(x_field)
         for radius in (0.05, 0.1, 0.3):
             result = oracle.winding(full_field, (radius, 0.0))
-            oracle_data.append({
-                "start_radius": radius,
-                "angle": result.angle,
-                "status": result.status,
-            })
+            oracle_data.append({"start_radius": radius, "angle": result.angle,
+                                "status": result.status})
         done("oracle", start)
 
     if mono.outcome == MONODROMIC and det_status.holds:
@@ -334,16 +320,19 @@ def _diagram_json(dia: NewtonDiagram, mono: Optional[MonodromyVerdict]) -> dict:
     }
 
 
+def _point_json(p: Point) -> dict:
+    return {"x": str(p[0]), "y": str(p[1])}
+
+
 def _det_json(det: DetStatus) -> dict:
     out: dict = {"status": det.status}
     if det.method is not None:
         out["method"] = det.method
     if det.witness is not None:
-        out["witness"] = {
-            "x": str(det.witness[0]),
-            "y": str(det.witness[1]),
-            "exact": det.witness_exact,
-        }
+        out["witness"] = _point_json(det.witness)
+    if det.segment is not None:
+        out["segment"] = {"positive": _point_json(det.segment[0]),
+                          "negative": _point_json(det.segment[1])}
     if det.detail is not None:
         out["detail"] = det.detail
     return out

@@ -1,14 +1,31 @@
 """CLI tests: exit codes, output shapes, and the JSON emission path."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import monodroma
 from monodroma.cli import main
 
 EX1 = "f = x + x^3; g = y + x^2"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """Run ``monodroma <argv>`` in a fresh interpreter on this package."""
+    package_root = str(Path(monodroma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = "import sys\nfrom monodroma.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout, check=False)
 
 
 # -- check -----------------------------------------------------------------------
@@ -35,6 +52,40 @@ def test_check_not_applicable_exits_three(capsys):
     out = capsys.readouterr().out
     assert "verdict: NotApplicable" in out
     assert "identically zero" in out
+
+
+def test_check_prints_the_det_evidence(capsys):
+    assert main(["check", "f = x^2; g = y"]) == 3
+    assert "jacobian determinant: VanishesAt at zero (0, -5)\n" in capsys.readouterr().out
+    assert main(["check", "f = 1/2*x^2 - 1/3*x; g = y"]) == 3
+    assert ("jacobian determinant: VanishesAt between (1/2, -5) where det > 0 "
+            "and (-5, -5) where det < 0\n") in capsys.readouterr().out
+
+
+def test_readme_check_example_is_current():
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("```text\n$ ", 1)[1].split("```", 1)[0]
+    command, *expected = block.splitlines()
+    argv = shlex.split(command)
+    assert argv[:2] == ["monodroma", "check"]
+    done = run_cli(argv[1:], timeout=60)
+    assert done.returncode == 0, done.stderr
+    actual = done.stdout.splitlines()
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        if not want.startswith("total time: "):
+            assert got == want
+
+
+def test_check_with_oracle_is_bounded():
+    # b(X) of this degree-26 map has thousands of terms; each winding stops
+    # at its term-evaluation budget instead of integrating for minutes.
+    done = run_cli(["check", "--with-oracle", "f = x + (y + x^2)^13; g = y + x^2"],
+                   timeout=60)
+    assert done.returncode == 2, done.stderr
+    winding = [line for line in done.stdout.splitlines() if line.startswith("oracle winding")]
+    assert len(winding) == 3
+    assert all(line.endswith("(exhausted)") for line in winding)
 
 
 def test_check_parse_error_exits_one(capsys):

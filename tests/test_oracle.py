@@ -102,6 +102,22 @@ def test_winding_around_a_compactified_center():
         assert abs(abs(result.angle) - 2 * math.pi) < 1e-2
 
 
+def test_winding_stops_at_its_term_budget(monkeypatch):
+    from monodroma import oracle
+
+    f, g = example1_map([1, 1], [1])
+    b_field = compactify(hamiltonian_field(f, g))
+    full = winding(b_field, (0.05, 0.0))
+    assert full.status == "returned"
+    # 100 right-hand-side evaluations: RK45 makes 6 per step, so the budget
+    # runs out a few steps in, long before the trajectory returns.
+    monkeypatch.setattr(oracle, "WINDING_TERM_BUDGET", 100 * (len(b_field.p) + len(b_field.q)))
+    cut = winding(b_field, (0.05, 0.0))
+    assert cut.status == "exhausted"
+    assert 0 < cut.arc_length < full.arc_length
+    assert abs(cut.angle) < abs(full.angle)
+
+
 # -- collision_search --------------------------------------------------------------
 
 

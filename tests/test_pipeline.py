@@ -13,6 +13,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 from genmaps import (
     example1_map,
     example2_map,
@@ -138,14 +139,44 @@ def test_det_sampling_finds_exact_grid_zero():
     assert (X**2 - BivarPoly.const(1)).evaluate(*st.witness) == 0
 
 
-def test_det_sampling_bisects_off_grid_zero():
-    p = X - BivarPoly.const(Fraction(1, 3))
-    st = det_nonvanishing_heuristic(p)
+def test_det_sampling_records_sign_change_segment():
+    # x - 1/3 has no zero on the sample; the first point with det < 0 is the
+    # first grid point (-5, -5), the first with det > 0 is (1/2, -5).
+    st = det_nonvanishing_heuristic(X - BivarPoly.const(Fraction(1, 3)))
     assert st.status == VANISHES
-    assert not st.witness_exact
-    assert st.detail == "sign change located by bisection"
-    assert abs(st.witness[0] - Fraction(1, 3)) <= Fraction(1, 10**5)
-    assert abs(p.evaluate(*st.witness)) <= Fraction(1, 10**5)
+    assert st.segment == ((Fraction(1, 2), Fraction(-5)), (Fraction(-5), Fraction(-5)))
+    assert st.witness is None and not st.witness_exact
+    assert st.detail == "sign change between two sample points"
+
+
+def _naive_value(poly: BivarPoly, x: Fraction, y: Fraction) -> Fraction:
+    return sum((c * x**i * y**j for (i, j), c in poly.terms()), Fraction(0))
+
+
+_det_coeffs = hst.fractions(min_value=-9, max_value=9, max_denominator=5)
+_dets = hst.dictionaries(
+    hst.tuples(hst.integers(0, 4), hst.integers(0, 4)).filter(lambda e: sum(e) <= 4),
+    _det_coeffs, max_size=5).map(BivarPoly)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_dets)
+@example(X - BivarPoly.const(Fraction(1, 3)))
+@example(X**2 - BivarPoly.const(1))
+@example(BivarPoly.zero())
+def test_det_vanishing_evidence_is_exact(det):
+    # Every VanishesAt carries exactly one of a witness and a segment, each
+    # checked here by a naive Fraction sum, not by BivarPoly.evaluate.
+    status = det_nonvanishing_heuristic(det)
+    if status.status != VANISHES:
+        assert status.witness is None and status.segment is None
+        return
+    assert (status.witness is None) != (status.segment is None)
+    if status.witness is not None:
+        assert _naive_value(det, *status.witness) == 0
+    else:
+        positive, negative = status.segment
+        assert _naive_value(det, *positive) > 0 > _naive_value(det, *negative)
 
 
 def test_det_positive_without_pattern_is_unknown():
@@ -199,6 +230,7 @@ def test_certify_zero_map_is_not_applicable():
     assert cert.verdict == NOT_APPLICABLE
     assert cert.reason == "zero map: the Hamiltonian field vanishes identically"
     assert cert.det_status.status == VANISHES
+    assert cert.det_status == det_nonvanishing_heuristic(BivarPoly.zero())
     assert cert.det_status.witness == (Fraction(0), Fraction(0))
     assert cert.diagram is None and cert.monodromy is None
     assert set(cert.timings_ms) == {"total"}
@@ -374,6 +406,26 @@ def test_certificates_validate_against_schema():
         doc = cert.to_json_dict()
         jsonschema.validate(doc, schema)
         json.loads(json.dumps(doc))  # everything must already be plain JSON types
+
+
+def test_det_status_json_carries_exact_evidence():
+    schema = load_schema()
+    # det = 2x: exact zero at the first grid point with x = 0.
+    zero = certify(X**2, Y).to_json_dict()["det_status"]
+    assert zero["witness"] == {"x": "0", "y": "-5"} and "segment" not in zero
+    # det = x - 1/3: no sample zero, a sign change between two grid points.
+    doc = certify(X**2 * Fraction(1, 2) - X * Fraction(1, 3), Y).to_json_dict()
+    jsonschema.validate(doc, schema)
+    assert doc["det_status"] == {
+        "status": VANISHES,
+        "segment": {"positive": {"x": "1/2", "y": "-5"}, "negative": {"x": "-5", "y": "-5"}},
+        "detail": "sign change between two sample points",
+    }
+    assert doc["reason"] == "Jacobian determinant vanishes (sign change between two sample points)"
+    for bad in ({**doc["det_status"], "witness": zero["witness"]},
+                {**zero, "witness": {**zero["witness"], "exact": True}}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**doc, "det_status": bad}, schema)
 
 
 def test_certificate_with_oracle_winding():
