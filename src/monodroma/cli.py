@@ -3,7 +3,8 @@
 Exit codes for ``check``: 0 Injective, 2 Inconclusive, 3 NotApplicable,
 1 usage, parse or input error (an exponent past polycore.MAX_EXPONENT too).
 No subcommand draws random numbers at run time: the same input always gives
-the same output, apart from timings.
+the same output, apart from timings.  Only ``check --with-oracle`` runs
+numerics: after certification, it winds on ``Certificate.compactified``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Optional, Sequence
 
 from .parser import ParseError, parse_bindings, parse_map, parse_poly
@@ -34,7 +36,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _print_certificate(cert) -> None:
+def _print_certificate(cert, windings: list) -> None:
     print(f"verdict: {cert.verdict}")
     if cert.reason:
         print(f"reason: {cert.reason}")
@@ -60,22 +62,33 @@ def _print_certificate(cert) -> None:
         for report in cert.monodromy.conditions:
             mark = "pass" if report.passed else "FAIL"
             print(f"  ({report.condition}) {mark}: {report.detail}")
-    if cert.oracle_winding:
-        for entry in cert.oracle_winding:
-            print(f"oracle winding from r={entry['start_radius']}: "
-                  f"{entry['angle']:+.6f} ({entry['status']})")
-    total = cert.timings_ms.get("total")
-    if total is not None:
-        print(f"total time: {total:.1f} ms")
+    for radius, run in windings:
+        print(f"oracle winding from r={radius}: {run.angle:+.6f} ({run.status})")
+    print(f"total time: {cert.timings_ms['total']:.1f} ms")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     f, g = parse_map(args.map)
-    cert = certify(f, g, assume_det=args.assume_det, with_oracle=args.with_oracle)
+    cert = certify(f, g, assume_det=args.assume_det)
+    windings = []
+    if args.with_oracle and cert.compactified is not None:
+        try:
+            from . import oracle
+        except ImportError:
+            print("error: --with-oracle needs numpy and scipy (pip install -e '.[oracle]')",
+                  file=sys.stderr)
+            return 1
+        start = time.perf_counter()
+        windings = [(r, oracle.winding(cert.compactified, (r, 0.0))) for r in (0.05, 0.1, 0.3)]
+        cert.timings_ms["oracle"] = (time.perf_counter() - start) * 1000.0
     if args.json:
-        print(json.dumps(cert.to_json_dict(), indent=2))
+        doc = cert.to_json_dict()
+        if windings:
+            doc["oracle"] = {"winding": [{"start_radius": r, "angle": run.angle,
+                                          "status": run.status} for r, run in windings]}
+        print(json.dumps(doc, indent=2))
     else:
-        _print_certificate(cert)
+        _print_certificate(cert, windings)
     return _VERDICT_EXIT[cert.verdict]
 
 
@@ -192,7 +205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ExponentOverflowError) as exc:
+    except (ValueError, ExponentOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,21 +1,22 @@
-"""Numeric cross-checks, kept strictly out of the exact pipeline.
+"""Numeric cross-checks, kept strictly out of the exact pipeline: ``certify``
+never imports this module, only ``check --with-oracle`` and the tests do.
 
 Everything here exists to double-check the exact modules from a different
 direction: a definition-chasing Newton diagram, a sign-change real-root
 count, trajectory winding by integration, a random collision search, and
 the bihomogeneous pieces of the compactification, built exactly but the
 slow way, by powers of u^2 + v^2 from repeated squaring, and the
-quasi-homogeneous components of a field.  Two exact helpers
-that no verdict needs live here too: root-witness refinement by repeated
-Sturm counts, and the sector reading of an inner vertex's beta.
-Floating point is allowed in this module only.
+quasi-homogeneous components of a field.  Two exact helpers that no verdict
+needs live here too: root-witness refinement by a Sturm count, and the
+sector reading of an inner vertex's beta.  Floating point is allowed in
+this module only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -31,6 +32,12 @@ ORACLE_SEED = 20260814
 # Work bound of one ``winding`` call, in right-hand-side evaluations times
 # terms of the field; the README map from r = 0.05 uses 154,048 (4,814 x 32).
 WINDING_TERM_BUDGET = 2_000_000
+# A ``winding`` trajectory escapes past this radius and stops after this arc
+# length; RK45 runs at these relative and absolute tolerances.
+WINDING_SAFETY_RADIUS, WINDING_MAX_ARC_LENGTH = 100.0, 200.0
+WINDING_RTOL, WINDING_ATOL = 1e-10, 1e-12
+# Bisection width at which ``numeric_root_count`` stops locating a root.
+ROOT_COUNT_TOL = 1e-9
 
 
 def brute_force_diagram(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -139,9 +146,9 @@ def quasi_field_components(x_field: PlanarField, t: QuasiType) -> list[tuple[int
 # -- numeric real-root count ---------------------------------------------------
 
 
-def _bisect_root(coeffs: np.ndarray, a: float, b: float, tol: float) -> float:
+def _bisect_root(coeffs: np.ndarray, a: float, b: float) -> float:
     fa = np.polyval(coeffs, a)
-    while b - a > tol:
+    while b - a > ROOT_COUNT_TOL:
         mid = (a + b) / 2
         fm = np.polyval(coeffs, mid)
         if fm == 0.0:
@@ -153,14 +160,14 @@ def _bisect_root(coeffs: np.ndarray, a: float, b: float, tol: float) -> float:
     return (a + b) / 2
 
 
-def _sign_change_roots(coeffs: np.ndarray, bound: float, tol: float) -> list[float]:
+def _sign_change_roots(coeffs: np.ndarray, bound: float) -> list[float]:
     degree = len(coeffs) - 1
     if degree <= 0:
         return []
     if degree == 1:
         root = -coeffs[1] / coeffs[0]
         return [root] if -bound < root < bound else []
-    critical = _sign_change_roots(np.polyder(coeffs), bound, tol)
+    critical = _sign_change_roots(np.polyder(coeffs), bound)
     cuts = [-bound] + [c for c in critical if -bound < c < bound] + [bound]
     roots: list[float] = []
     for a, b in zip(cuts, cuts[1:]):
@@ -171,45 +178,44 @@ def _sign_change_roots(coeffs: np.ndarray, bound: float, tol: float) -> list[flo
             roots.append(b)
             continue
         if (fa > 0) != (fb > 0):
-            roots.append(_bisect_root(coeffs, a, b, tol))
+            roots.append(_bisect_root(coeffs, a, b))
     return roots
 
 
-def numeric_root_count(p: UniPoly, tol: float = 1e-9) -> int:
+def numeric_root_count(p: UniPoly) -> int:
     """Distinct real roots of a square-free polynomial by sign changes.
 
     The real line is partitioned at the extrema of p (found recursively on
     the derivative); p is monotone between consecutive extrema, so each
-    sign change there is exactly one root, located by bisection to ``tol``.
+    sign change there is exactly one root, located by bisection to
+    ROOT_COUNT_TOL.
     """
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
     if p.degree == 0:
         return 0
     coeffs = np.array([float(c) for c in reversed(p.coeffs)])
-    lead = abs(p.coeffs[-1])
-    bound = 1.0 + float(max(abs(c) for c in p.coeffs[:-1]) / lead) if p.degree >= 1 else 1.0
-    return len(_sign_change_roots(coeffs, bound + 1.0, tol))
+    bound = 1.0 + float(max(abs(c) for c in p.coeffs[:-1]) / abs(p.coeffs[-1]))
+    return len(_sign_change_roots(coeffs, bound + 1.0))
 
 
-def refine_witness(p: UniPoly, w: FactorWitness, rounds: int = 1) -> FactorWitness:
-    """Halve a root witness of p ``rounds`` times; it keeps isolating its root.
+def refine_witness(p: UniPoly, w: FactorWitness) -> FactorWitness:
+    """Halve a root witness of p once; it keeps isolating its root.
 
     A midpoint that is a root becomes the exact value; an interval with an
     exact value shrinks to at most half around it, inside the old one.
     """
     lo, hi, exact = w.lo, w.hi, w.exact
-    for _ in range(rounds):
-        mid = (lo + hi) / 2
-        if exact is None and p(mid) == 0:
-            exact = mid
-        if exact is not None:
-            quarter = (hi - lo) / 4
-            lo, hi = max(lo, exact - quarter), min(hi, exact + quarter)
-        elif sturm_count(p, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
+    mid = (lo + hi) / 2
+    if exact is None and p(mid) == 0:
+        exact = mid
+    if exact is not None:
+        quarter = (hi - lo) / 4
+        lo, hi = max(lo, exact - quarter), min(hi, exact + quarter)
+    elif sturm_count(p, lo, mid) == 1:
+        hi = mid
+    else:
+        lo = mid
     return FactorWitness(lo, hi, w.sign, exact)
 
 
@@ -249,16 +255,15 @@ class WindingResult:
     arc_length: float
 
 
-def winding(field: PlanarField, start: tuple[float, float], *,
-            safety_radius: float = 100.0, max_arc_length: float = 200.0,
-            rtol: float = 1e-10, atol: float = 1e-12) -> WindingResult:
+def winding(field: PlanarField, start: tuple[float, float]) -> WindingResult:
     """Integrate the unit-speed field from ``start`` and track the angle.
 
     The field is reparametrized by arc length, which keeps the integration
     honest where polynomial growth would stall or blow up the raw field.
-    Terminates at the first return to the start ray (accumulated angle
-    reaching 2*pi in absolute value), at the safety radius, or after the
-    first step that takes the term evaluations past WINDING_TERM_BUDGET.
+    RK45 runs at WINDING_RTOL and WINDING_ATOL.  Terminates at the first
+    return to the start ray (accumulated angle reaching 2*pi in absolute
+    value), at WINDING_SAFETY_RADIUS, at WINDING_MAX_ARC_LENGTH, or after
+    the first step that takes the term evaluations past WINDING_TERM_BUDGET.
     """
     p_eval, q_eval = _compile(field.p), _compile(field.q)
     terms = len(field.p) + len(field.q)
@@ -280,7 +285,7 @@ def winding(field: PlanarField, start: tuple[float, float], *,
         return abs(state[2]) - 2.0 * np.pi
 
     def escape(_s: float, state: np.ndarray) -> float:
-        return float(np.hypot(state[0], state[1])) - safety_radius
+        return float(np.hypot(state[0], state[1])) - WINDING_SAFETY_RADIUS
 
     def budget(s: float, _state: np.ndarray) -> float:
         # -inf until a step spends the budget, then 0 at that step's end.
@@ -293,8 +298,9 @@ def winding(field: PlanarField, start: tuple[float, float], *,
         event.terminal = True
 
     sol = solve_ivp(
-        rhs, (0.0, max_arc_length), [start[0], start[1], 0.0],
-        method="RK45", rtol=rtol, atol=atol, events=[full_turn, escape, budget],
+        rhs, (0.0, WINDING_MAX_ARC_LENGTH), [start[0], start[1], 0.0],
+        method="RK45", rtol=WINDING_RTOL, atol=WINDING_ATOL,
+        events=[full_turn, escape, budget],
     )
     for idx, status in enumerate(("returned", "escaped", "exhausted")):
         if sol.t_events[idx].size:

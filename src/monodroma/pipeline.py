@@ -158,8 +158,9 @@ def _cima_condition(x_field: PlanarField) -> bool:
 @dataclass(frozen=True)
 class Certificate:
     """Full record of one certification run.  ``compactified`` is the full
-    b(X), for auditors; certify reads only compactify_lower's terms, so it
-    is built lazily, on first access, outside the timed stages."""
+    b(X), for auditors and numeric cross-checks; certify reads only
+    compactify_lower's terms, so it is built lazily, on first access,
+    outside the timed stages."""
 
     f: BivarPoly
     g: BivarPoly
@@ -171,7 +172,6 @@ class Certificate:
     diagram: Optional[NewtonDiagram]
     monodromy: Optional[MonodromyVerdict]
     timings_ms: dict[str, float] = dataclass_field(default_factory=dict)
-    oracle_winding: Optional[list[dict]] = None
 
     @cached_property
     def compactified(self) -> Optional[PlanarField]:
@@ -181,8 +181,7 @@ class Certificate:
         return _certificate_json(self)
 
 
-def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
-            with_oracle: bool = False) -> Certificate:
+def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certificate:
     """Run the full pipeline on F = (f, g)."""
     timings: dict[str, float] = {}
     start_total = time.perf_counter()
@@ -190,12 +189,11 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
     def done(stage: str, start: float) -> None:
         timings[stage] = (time.perf_counter() - start) * 1000.0
 
-    def finish(verdict: str, reason: Optional[str], det: DetStatus,
-               cima: Optional[bool] = None, ham: Optional[PlanarField] = None,
-               dia: Optional[NewtonDiagram] = None, mono: Optional[MonodromyVerdict] = None,
-               oracle: Optional[list[dict]] = None) -> Certificate:
+    def finish(verdict: str, reason: Optional[str], det: DetStatus, cima: Optional[bool] = None,
+               ham: Optional[PlanarField] = None, dia: Optional[NewtonDiagram] = None,
+               mono: Optional[MonodromyVerdict] = None) -> Certificate:
         timings["total"] = (time.perf_counter() - start_total) * 1000.0
-        return Certificate(f, g, verdict, reason, det, cima, ham, dia, mono, timings, oracle)
+        return Certificate(f, g, verdict, reason, det, cima, ham, dia, mono, timings)
 
     if f.is_zero and g.is_zero:
         return finish(NOT_APPLICABLE, "zero map: the Hamiltonian field vanishes identically",
@@ -242,19 +240,6 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
     cima = _cima_condition(x_field)
     done("cima", start)
 
-    oracle_data: Optional[list[dict]] = None
-    if with_oracle:
-        from . import oracle
-
-        start = time.perf_counter()
-        oracle_data = []
-        full_field = compactify(x_field)
-        for radius in (0.05, 0.1, 0.3):
-            result = oracle.winding(full_field, (radius, 0.0))
-            oracle_data.append({"start_radius": radius, "angle": result.angle,
-                                "status": result.status})
-        done("oracle", start)
-
     if mono.outcome == MONODROMIC and det_status.holds:
         verdict, reason = INJECTIVE, None
     elif mono.outcome == MONODROMIC:
@@ -263,14 +248,10 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False,
     else:
         verdict = INCONCLUSIVE
         reason = f"monodromy: {mono.outcome}" + (f" ({mono.reason})" if mono.reason else "")
-    return finish(verdict, reason, det_status, cima, x_field, dia, mono, oracle_data)
+    return finish(verdict, reason, det_status, cima, x_field, dia, mono)
 
 
 # -- JSON serialization --------------------------------------------------------
-
-
-def _point(p: tuple[int, int]) -> list[int]:
-    return [p[0], p[1]]
 
 
 def _exponent_str(e: Optional[Fraction]) -> str:
@@ -295,7 +276,7 @@ def _diagram_json(dia: NewtonDiagram, mono: Optional[MonodromyVerdict]) -> dict:
             "type": [edge.t[0], edge.t[1]],
             "exponent": _exponent_str(edge.exponent),
             "bounded": edge.bounded,
-            "endpoints": [_point(v.point) for v in edge.endpoints],
+            "endpoints": [list(v.point) for v in edge.endpoints],
             "line_value": edge.line_value,
             "r": edge.r,
             "hamiltonian": [[i, j, c] for i, j, c in edge.h.to_term_list()],
@@ -307,15 +288,15 @@ def _diagram_json(dia: NewtonDiagram, mono: Optional[MonodromyVerdict]) -> dict:
         })
     return {
         "vertices": [{
-            "point": _point(v.point),
+            "point": list(v.point),
             "coeff": [str(v.coeff[0]), str(v.coeff[1])],
             "kind": v.kind,
             "exponent": _exponent_str(v.exponent),
         } for v in dia.vertices],
         "edges": edges,
-        "betas": [{"vertex": _point(pt), "beta": str(beta)}
+        "betas": [{"vertex": list(pt), "beta": str(beta)}
                   for pt, beta in dia.inner_betas],
-        "beta_undefined": [{"vertex": _point(pt), "reason": reason}
+        "beta_undefined": [{"vertex": list(pt), "reason": reason}
                            for pt, reason in dia.beta_undefined],
     }
 
@@ -351,7 +332,7 @@ def _certificate_json(cert: Certificate) -> dict:
                 "witnesses": list(r.witnesses),
             } for r in cert.monodromy.conditions],
         }
-    out = {
+    return {
         "schema": SCHEMA_VERSION,
         "input": {"f": cert.f.to_string(), "g": cert.g.to_string()},
         "verdict": cert.verdict,
@@ -363,6 +344,3 @@ def _certificate_json(cert: Certificate) -> dict:
         "monodromy": mono,
         "timings_ms": dict(cert.timings_ms),
     }
-    if cert.oracle_winding is not None:
-        out["oracle"] = {"winding": cert.oracle_winding}
-    return out

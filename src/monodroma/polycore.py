@@ -128,6 +128,9 @@ class BivarPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it must hash like one.
+        if self._num.keys() <= {(0, 0)}:
+            return hash(Fraction(self._num.get((0, 0), 0), self._den))
         return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .diagram import NewtonDiagram
 
@@ -30,11 +30,10 @@ def _legend(diagram: NewtonDiagram) -> list[str]:
     return lines
 
 
-def render_ascii(diagram: NewtonDiagram,
-                 support_points: Optional[Iterable[tuple[int, int]]] = None) -> str:
+def render_ascii(diagram: NewtonDiagram, support_points: Iterable[tuple[int, int]]) -> str:
     """Lattice picture ('V' vertices, '*' other support points) plus legend."""
     vertex_points = set(diagram.vertex_points())
-    extra = set(support_points or ()) - vertex_points
+    extra = set(support_points) - vertex_points
     all_points = vertex_points | extra
     xmax = max(x for x, _ in all_points)
     ymax = max(y for _, y in all_points)
@@ -59,11 +58,10 @@ def render_ascii(diagram: NewtonDiagram,
     return "\n".join(lines)
 
 
-def render_svg(diagram: NewtonDiagram,
-               support_points: Optional[Iterable[tuple[int, int]]] = None) -> str:
+def render_svg(diagram: NewtonDiagram, support_points: Iterable[tuple[int, int]]) -> str:
     """Standalone SVG of the diagram with labelled vertices."""
     vertex_points = diagram.vertex_points()
-    extra = sorted(set(support_points or ()) - set(vertex_points))
+    extra = sorted(set(support_points) - set(vertex_points))
     all_points = vertex_points + extra
     xmax = max(max(x for x, _ in all_points), 1)
     ymax = max(max(y for _, y in all_points), 1)

@@ -18,12 +18,13 @@ EX1 = "f = x + x^3; g = y + x^2"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
-    """Run ``monodroma <argv>`` in a fresh interpreter on this package."""
+def run_cli(argv: list[str], timeout: float, prelude: str = "") -> subprocess.CompletedProcess:
+    """Run ``monodroma <argv>`` in a fresh interpreter on this package,
+    after the Python statements in ``prelude``."""
     package_root = str(Path(monodroma.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    code = "import sys\nfrom monodroma.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    code = prelude + "import sys\nfrom monodroma.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, env=env, timeout=timeout, check=False)
 
@@ -88,6 +89,14 @@ def test_check_with_oracle_is_bounded():
     assert all(line.endswith("(exhausted)") for line in winding)
 
 
+def test_check_with_oracle_needs_the_oracle_extra():
+    done = run_cli(["check", "--with-oracle", EX1], timeout=60,
+                   prelude="import sys\nsys.modules['numpy'] = sys.modules['scipy'] = None\n")
+    assert done.returncode == 1
+    assert done.stderr == (
+        "error: --with-oracle needs numpy and scipy (pip install -e '.[oracle]')\n")
+
+
 def test_check_parse_error_exits_one(capsys):
     assert main(["check", "f = x +; g = y"]) == 1
     assert "parse error:" in capsys.readouterr().err
@@ -141,6 +150,14 @@ def test_diagram_svg(tmp_path, capsys):
     assert f"wrote {target}" in capsys.readouterr().out
     text = target.read_text()
     assert "<svg" in text and "</svg>" in text
+
+
+def test_diagram_svg_to_an_unwritable_path_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    assert main(["diagram", EX1, "--svg", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err and not target.exists()
 
 
 def test_diagram_of_a_constant_map_degenerates(capsys):

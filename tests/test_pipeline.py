@@ -28,6 +28,7 @@ from genmaps import (
 )
 
 import monodroma
+from monodroma import cli
 from monodroma import (
     ASSUMED,
     INCONCLUSIVE,
@@ -428,17 +429,24 @@ def test_det_status_json_carries_exact_evidence():
             jsonschema.validate({**doc, "det_status": bad}, schema)
 
 
-def test_certificate_with_oracle_winding():
-    cert = certify(*example1_map([1, 1], [1]), with_oracle=True)
-    assert cert.verdict == INJECTIVE
-    assert "oracle" in cert.timings_ms
-    assert [run["start_radius"] for run in cert.oracle_winding] == [0.05, 0.1, 0.3]
-    for run in cert.oracle_winding:
+def _check_with_oracle_json(f: BivarPoly, g: BivarPoly, capsys) -> tuple[int, dict]:
+    """``monodroma check --json --with-oracle`` on (f, g): exit code and document."""
+    code = cli.main(["check", "--json", "--with-oracle",
+                     f"f = {f.to_string()}; g = {g.to_string()}"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_certificate_with_oracle_winding(capsys):
+    code, doc = _check_with_oracle_json(*example1_map([1, 1], [1]), capsys)
+    assert code == 0 and doc["verdict"] == INJECTIVE
+    assert "oracle" in doc["timings_ms"]
+    runs = doc["oracle"]["winding"]
+    assert [run["start_radius"] for run in runs] == [0.05, 0.1, 0.3]
+    for run in runs:
         assert run["status"] == "returned"
         assert abs(abs(run["angle"]) - 2 * math.pi) < 1e-2
-    doc = cert.to_json_dict()
     jsonschema.validate(doc, load_schema())
-    assert [run["status"] for run in doc["oracle"]["winding"]] == ["returned"] * 3
+    assert [run["status"] for run in runs] == ["returned"] * 3
 
 
 def test_certificate_keeps_the_full_compactified_field():
@@ -454,16 +462,16 @@ def test_certificate_keeps_the_full_compactified_field():
     assert certify(BivarPoly.zero(), BivarPoly.zero()).compactified is None
 
 
-def test_oracle_winding_integrates_the_full_field():
+def test_oracle_winding_integrates_the_full_field(capsys):
     from monodroma import oracle
 
     f, g = example1_map([1, 1], [1])
     x_field = hamiltonian_field(f, g)
     assert compactify_lower(x_field) != compactify(x_field)
-    cert = certify(f, g, with_oracle=True)
+    _, doc = _check_with_oracle_json(f, g, capsys)
     expected = [oracle.winding(compactify(x_field), (radius, 0.0))
                 for radius in (0.05, 0.1, 0.3)]
-    assert [(run["angle"], run["status"]) for run in cert.oracle_winding] == [
+    assert [(run["angle"], run["status"]) for run in doc["oracle"]["winding"]] == [
         (result.angle, result.status) for result in expected]
 
 
@@ -481,12 +489,17 @@ def test_certificate_json_shape():
 
 def test_pipeline_runs_without_numpy_or_scipy():
     # Only the numeric oracles need numpy and scipy; blocking both imports
-    # must leave the package importable and the README map certifiable.
+    # must leave the package importable, the README map certifiable, and
+    # `check` working without ever importing the oracle module.
     code = (
         "import sys\n"
         "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
         "from monodroma import certify, parse_map\n"
-        "print(certify(*parse_map('f = x + x^3; g = y + x^2')).verdict)\n"
+        "from monodroma.cli import main\n"
+        "text = 'f = x + x^3; g = y + x^2'\n"
+        "print(certify(*parse_map(text)).verdict)\n"
+        "assert main(['check', '--json', text]) == 0\n"
+        "assert 'monodroma.oracle' not in sys.modules\n"
     )
     package_root = str(Path(monodroma.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -494,4 +507,6 @@ def test_pipeline_runs_without_numpy_or_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=False)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == INJECTIVE
+    verdict, doc = done.stdout.split("\n", 1)
+    assert verdict == INJECTIVE
+    assert json.loads(doc)["verdict"] == INJECTIVE

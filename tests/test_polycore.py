@@ -300,6 +300,10 @@ def test_equal_values_hash_equal(a, b):
     half = BivarPoly.monomial(1, 0, Fraction(1, 2))
     assert half + half == X and hash(half + half) == hash(X)
     assert (X - X) == BivarPoly.zero() and hash(X - X) == hash(BivarPoly.zero())
+    for poly, scalar in ((BivarPoly.zero(), 0), (BivarPoly.const(3), 3),
+                         (BivarPoly.const(Fraction(3, 2)), Fraction(3, 2))):
+        assert poly == scalar and hash(poly) == hash(scalar)
+        assert len({poly, scalar}) == 1
 
 
 _points = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-5, 5, max_denominator=7))
