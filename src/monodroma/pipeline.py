@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .polycore import BivarPoly
@@ -78,10 +80,11 @@ def jacobian_det(f: BivarPoly, g: BivarPoly) -> BivarPoly:
 
 def _even_positive_method(det: BivarPoly) -> Optional[str]:
     """Match the even-monomial positivity pattern, or its global negation."""
+    num, _ = det.numerators()  # the denominator is positive: numerator signs suffice
     for sign, name in ((1, "positive"), (-1, "negative")):
-        if sign * det.coeff(0, 0) <= 0:
+        if sign * num.get((0, 0), 0) <= 0:
             continue
-        if all(i % 2 == 0 and j % 2 == 0 and sign * c > 0 for (i, j), c in det.terms()):
+        if all(i % 2 == 0 and j % 2 == 0 and sign * n > 0 for (i, j), n in num.items()):
             return f"{name} constant plus even monomials of matching sign"
     return None
 
@@ -99,6 +102,13 @@ def _sample_points() -> tuple[Point, ...]:
 
 _SAMPLE_POINTS = _sample_points()
 
+# The sample as maximal runs of consecutive points sharing x, in sample
+# order: (a, b, ((point, c, d), ...)) with x = a/b and y = c/d.  That is the
+# 21 grid columns, then the pseudo-random points.
+_SAMPLE_COLUMNS = tuple(
+    (x.numerator, x.denominator, tuple((p, p[1].numerator, p[1].denominator) for p in run))
+    for x, run in groupby(_SAMPLE_POINTS, key=itemgetter(0)))
+
 
 def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
     """Conservative decision procedure for the determinant hypothesis.
@@ -111,6 +121,12 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
     or the first sign change (the segment from the first point with det > 0
     to the first with det < 0).  The sample is the same on every call, so
     the status is deterministic.
+
+    Only signs are read, in integers, lazily, column by column.  On entering
+    a column x = a/b, det collapses to one integer coefficient per distinct
+    y exponent, O(terms); each point y = c/d of the column then costs one
+    Horner pass over those exponents, O(distinct y exponents), stepping by
+    their gaps rather than over a dense degree range.
     """
     if det.is_zero:
         return DetStatus(VANISHES, witness=(Fraction(0), Fraction(0)),
@@ -121,19 +137,42 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
     if method is not None:
         return DetStatus(PROVED, method=method)
 
+    num, _ = det.numerators()
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), n in num.items():
+        rows.setdefault(j, []).append((i, n))
+    x_exps = {i for i, _ in num}
+    dx = max(x_exps)
+    y_exps = sorted(rows, reverse=True)
     positive: Optional[Point] = None
     negative: Optional[Point] = None
-    for point in _SAMPLE_POINTS:
-        value = det.evaluate(*point)
-        if value == 0:
-            return DetStatus(VANISHES, witness=point, detail="exact zero found by sampling")
-        if value > 0:
-            positive = positive or point
-        else:
-            negative = negative or point
-        if positive and negative:
-            return DetStatus(VANISHES, segment=(positive, negative),
-                             detail="sign change between two sample points")
+    for a, b, column in _SAMPLE_COLUMNS:
+        # b^dx den det(a/b, y) = sum over j of C_j y^j.
+        xs = {i: a**i * b**(dx - i) for i in x_exps}
+        coeffs = [(j, cj) for j in y_exps if (cj := sum(n * xs[i] for i, n in rows[j]))]
+        if not coeffs:
+            return DetStatus(VANISHES, witness=column[0][0], detail="exact zero found by sampling")
+        lead, low = coeffs[0][1], coeffs[-1][0]
+        steps = [(prev - j, cj) for (prev, _), (j, cj) in zip(coeffs, coeffs[1:])]
+        for point, c, d in column:
+            # Horner over the kept j, high to low, stepping by their gaps:
+            # sum_j C_j c^j d^(J - j) = c^low * acc, J the largest kept j.
+            # den, b and d are positive, so det(x, y) has the sign of that.
+            acc, d_pow = lead, 1
+            for gap, cj in steps:
+                d_pow *= d**gap
+                acc = acc * c**gap + cj * d_pow
+            if c < 0 and low & 1:
+                acc = -acc
+            if acc == 0 or (c == 0 and low):
+                return DetStatus(VANISHES, witness=point, detail="exact zero found by sampling")
+            if acc > 0:
+                positive = positive or point
+            else:
+                negative = negative or point
+            if positive and negative:
+                return DetStatus(VANISHES, segment=(positive, negative),
+                                 detail="sign change between two sample points")
     return DetStatus(UNKNOWN, detail="no syntactic pattern matched and sampling saw one sign")
 
 
@@ -199,7 +238,7 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
         return finish(NOT_APPLICABLE, "zero map: the Hamiltonian field vanishes identically",
                       det_nonvanishing_heuristic(BivarPoly.zero()))
 
-    f0, g0 = f.evaluate(0, 0), g.evaluate(0, 0)
+    f0, g0 = f.coeff(0, 0), g.coeff(0, 0)
     if f0 or g0:
         return finish(
             NOT_APPLICABLE,

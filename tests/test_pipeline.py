@@ -40,6 +40,7 @@ from monodroma import (
     UNKNOWN,
     VANISHES,
     BivarPoly,
+    DetStatus,
     build_diagram,
     certify,
     cima_condition,
@@ -50,6 +51,7 @@ from monodroma import (
     jacobian_det,
     parse_poly,
 )
+from monodroma.pipeline import _SAMPLE_POINTS
 
 X = BivarPoly.monomial(1, 0)
 Y = BivarPoly.monomial(0, 1)
@@ -180,6 +182,53 @@ def test_det_vanishing_evidence_is_exact(det):
         assert _naive_value(det, *positive) > 0 > _naive_value(det, *negative)
 
 
+def _reference_status(det: BivarPoly) -> DetStatus:
+    """det_nonvanishing_heuristic as a plain loop: the two patterns read off
+    Fraction coefficients, then every sample point in order, scored by
+    _naive_value."""
+    if det.is_zero:
+        return DetStatus(VANISHES, witness=(Fraction(0), Fraction(0)),
+                         detail="determinant is identically zero")
+    if det.support() == [(0, 0)]:
+        return DetStatus(PROVED, method="nonzero constant")
+    for sign, name in ((1, "positive"), (-1, "negative")):
+        if sign * det.coeff(0, 0) > 0 and all(
+                i % 2 == 0 and j % 2 == 0 and sign * c > 0 for (i, j), c in det.terms()):
+            return DetStatus(PROVED, method=f"{name} constant plus even monomials of matching sign")
+    positive = negative = None
+    for point in _SAMPLE_POINTS:
+        value = _naive_value(det, *point)
+        if value == 0:
+            return DetStatus(VANISHES, witness=point, detail="exact zero found by sampling")
+        if value > 0:
+            positive = positive or point
+        else:
+            negative = negative or point
+        if positive and negative:
+            return DetStatus(VANISHES, segment=(positive, negative),
+                             detail="sign change between two sample points")
+    return DetStatus(UNKNOWN, detail="no syntactic pattern matched and sampling saw one sign")
+
+
+_sparse_dets = hst.dictionaries(
+    hst.tuples(hst.integers(0, 60), hst.integers(0, 60)), _det_coeffs, max_size=4).map(BivarPoly)
+# A zero planted on the column x = x0 of a pseudo-random sample point.
+_planted_dets = hst.builds(lambda x0, h: (X - BivarPoly.const(x0)) * h,
+                           hst.sampled_from([x for x, _ in _SAMPLE_POINTS[-100:]]), _dets)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(hst.one_of(_dets, _sparse_dets, _planted_dets))
+@example(parse_poly("x*y^3 - y"))  # zero on the y = 0 row through the trailing y factor
+@example(parse_poly("x*y^3 - 1"))
+@example(parse_poly("(x^100 - y^100)^2 + 1"))
+@example(parse_poly("(y^300 - x)^2 + 1"))
+def test_det_status_matches_the_point_by_point_reference(det):
+    # Same points, same order: the same first zero, or the same first
+    # positive and first negative point, or Unknown on both sides.
+    assert det_nonvanishing_heuristic(det) == _reference_status(det)
+
+
 def test_det_positive_without_pattern_is_unknown():
     st = det_nonvanishing_heuristic((X**2 - Y**2) ** 2 + BivarPoly.const(1))
     assert st.status == UNKNOWN
@@ -243,6 +292,8 @@ def test_certify_requires_the_origin_fixed():
     assert cert.reason.startswith("origin is not fixed: F(0,0) = (1, 0)")
     assert "certify the translate" in cert.reason
     assert cert.det_status.status == UNKNOWN
+    cert = certify(X + BivarPoly.const(Fraction(1, 2)), Y - BivarPoly.const(3))
+    assert cert.reason.startswith("origin is not fixed: F(0,0) = (1/2, -3); ")
 
 
 def test_certify_stops_on_vanishing_determinant():
