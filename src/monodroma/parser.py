@@ -10,24 +10,39 @@ then '*', then '+'/'-'; multiplication is always explicit):
     power    := atom ["^" natural]
     atom     := rational | variable | "(" expr ")"
     rational := natural ["/" natural]
+    natural  := [0-9]+
 
 Exponents are non-negative integer literals up to polycore.MAX_EXPONENT.
 Rational literals require integer numerator and denominator; anything else
-next to "/" is an error.  Parentheses and unary minuses together nest at
-most MAX_DEPTH deep, so hostile input ends in a ParseError, not in the
-interpreter's recursion limit.
+next to "/" is an error.  A literal longer than the interpreter's limit on
+integer strings (sys.get_int_max_str_digits) is an error too.  Parentheses
+and unary minuses together nest at most MAX_DEPTH deep, so hostile input
+ends in a ParseError, not in the interpreter's recursion limit.
+
+Cost model: every value is one pair (num, den) of integer numerators
+{(i, j): n} over a positive denominator, in any scaling.  A literal or a
+variable is one small dict, a unary minus one negated copy, a product one
+call of polycore.mul_numerators and a power one call of
+polycore.pow_numerators, the kernels BivarPoly's own operators use.  A sum
+of k terms is one pass over their numerators scaled to the lcm of their
+denominators.  Nothing is reduced on the way, except a power's base by the
+gcd of its denominator and numerators: one BivarPoly.from_numerators per
+parsed expression or binding puts the result in lowest terms.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
+import sys
+from math import gcd, lcm
+from typing import NamedTuple
 
-from .polycore import MAX_EXPONENT, BivarPoly
+from .polycore import MAX_EXPONENT, BivarPoly, Monomial, mul_numerators, pow_numerators
 
 MAX_DEPTH = 100
+
+# Integer numerators over a positive denominator, not necessarily reduced.
+_Value = tuple[dict[Monomial, int], int]
 
 
 class ParseError(ValueError):
@@ -42,43 +57,57 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "name", one of "+-*/^()=;", or "end"
     text: str
-    offset: int  # byte offset into the input
+    start: int  # index of its first character in the input
     value: int = 0
 
 
-# One lexeme per match, in order: a whitespace run, a decimal run, a word
-# run or any other single character, so the matches tile the whole text.
-_LEXEME = re.compile(r"(\s+)|(\d+)|(\w+)|(.)", re.DOTALL)
+# One lexeme per match, in order: a whitespace run, an ASCII decimal run, a
+# word run or any other single character, so the matches tile the whole text.
+_LEXEME = re.compile(r"(\s+)|([0-9]+)|(\w+)|(.)", re.DOTALL)
+_OPERATORS = frozenset("+-*/^()=;")
+
+
+def _byte_offset(text: str, pos: int) -> int:
+    """The UTF-8 byte offset of character pos; computed only for an error."""
+    return len(text[:pos].encode("utf-8"))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    offset = 0  # byte offset of the current lexeme
     for m in _LEXEME.finditer(text):
-        space, digits, word, other = m.groups()
-        if digits:
-            tokens.append(_Token("int", digits, offset, int(digits)))
-        elif word and (word[0].isalpha() or word[0] == "_"):
-            tokens.append(_Token("name", word, offset))
-        elif other and other in "+-*/^()=;":
-            tokens.append(_Token(other, other, offset))
-        elif not space:
-            raise ParseError(f"unexpected character {m.group()[0]!r}", offset)
-        offset += len(m.group().encode("utf-8"))
-    tokens.append(_Token("end", "", offset))
+        group = m.lastindex
+        if group == 1:
+            continue
+        lexeme = m.group(group)
+        if group == 2:
+            try:
+                value = int(lexeme)
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise ParseError(
+                    f"integer literal of {len(lexeme)} digits exceeds the limit of "
+                    f"{sys.get_int_max_str_digits()} digits", _byte_offset(text, m.start()),
+                ) from None
+            tokens.append(_Token("int", lexeme, m.start(), value))
+        elif group == 3 and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            tokens.append(_Token("name", lexeme, m.start()))
+        elif group == 4 and lexeme in _OPERATORS:
+            tokens.append(_Token(lexeme, lexeme, m.start()))
+        else:
+            raise ParseError(f"unexpected character {lexeme[0]!r}", _byte_offset(text, m.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
-@dataclass
 class _Parser:
-    tokens: list[_Token]
-    variables: tuple[str, str]
-    pos: int = field(default=0)
-    depth: int = field(default=0)
+    def __init__(self, text: str, variables: tuple[str, str]):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.variables = variables
+        self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -88,99 +117,107 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def error(self, message: str, tok: _Token, expected: frozenset[str] = frozenset()) -> ParseError:
+        return ParseError(message, _byte_offset(self.text, tok.start), expected)
+
+    def unexpected(self, tok: _Token, *expected: str) -> ParseError:
+        return self.error(f"unexpected {_describe(tok)}", tok, frozenset(expected))
+
     def expect(self, kind: str, description: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"unexpected {_describe(tok)}", tok.offset, frozenset({description}))
+            raise self.unexpected(tok, description)
         return self.advance()
+
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok.kind != "end":
+            raise self.unexpected(tok, "end of input")
 
     def nest(self) -> None:
         """Consume a '(' or unary '-' one level deeper, within MAX_DEPTH."""
         tok = self.advance()
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.offset)
+            raise self.error(f"nesting deeper than {MAX_DEPTH}", tok)
 
-    def expr(self) -> BivarPoly:
-        signed = [(1, *self.term().numerators())]
+    def expr(self) -> _Value:
+        value = self.term()
+        if self.peek().kind not in ("+", "-"):
+            return value
+        signed = [(1, *value)]
         while self.peek().kind in ("+", "-"):
-            signed.append((1 if self.advance().kind == "+" else -1, *self.term().numerators()))
+            signed.append((1 if self.advance().kind == "+" else -1, *self.term()))
         # One sum over the lcm of the denominators, linear in the terms.
         den = lcm(*(term_den for _, _, term_den in signed))
-        acc: dict[tuple[int, int], int] = {}
+        acc: dict[Monomial, int] = {}
+        get = acc.get
         for sign, num, term_den in signed:
+            scale = sign * (den // term_den)
             for key, n in num.items():
-                acc[key] = acc.get(key, 0) + n * sign * (den // term_den)
-        return BivarPoly.from_numerators(acc, den)
+                acc[key] = get(key, 0) + n * scale
+        return {key: n for key, n in acc.items() if n}, den
 
-    def term(self) -> BivarPoly:
-        acc = self.factor()
+    def term(self) -> _Value:
+        num, den = self.factor()
         while self.peek().kind == "*":
             self.advance()
-            acc = acc * self.factor()
-        return acc
+            rhs, rhs_den = self.factor()
+            num, den = mul_numerators(num, rhs), den * rhs_den
+        return num, den
 
-    def factor(self) -> BivarPoly:
+    def factor(self) -> _Value:
         if self.peek().kind == "-":
             self.nest()
-            inner = self.factor()
+            num, den = self.factor()
             self.depth -= 1
-            return -inner
+            return {key: -n for key, n in num.items()}, den
         return self.power()
 
-    def power(self) -> BivarPoly:
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "int":
-                raise ParseError(
-                    f"unexpected {_describe(tok)}", tok.offset,
-                    frozenset({"non-negative integer exponent"}),
-                )
-            if tok.value > MAX_EXPONENT:
-                raise ParseError(f"exponent {tok.value} exceeds {MAX_EXPONENT}", tok.offset)
-            self.advance()
-            return base ** tok.value
-        return base
+    def power(self) -> _Value:
+        num, den = self.atom()
+        if self.peek().kind != "^":
+            return num, den
+        self.advance()
+        tok = self.peek()
+        if tok.kind != "int":
+            raise self.unexpected(tok, "non-negative integer exponent")
+        if tok.value > MAX_EXPONENT:
+            raise self.error(f"exponent {tok.value} exceeds {MAX_EXPONENT}", tok)
+        self.advance()
+        if den != 1:  # lowest terms, so that (2/2*x)^n costs what x^n does
+            g = gcd(den, *num.values())
+            num, den = {key: n // g for key, n in num.items()}, den // g
+        return pow_numerators(num, den, tok.value)
 
-    def atom(self) -> BivarPoly:
+    def atom(self) -> _Value:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            value = Fraction(tok.value)
+            den = 1
             if self.peek().kind == "/":
                 self.advance()
-                den = self.peek()
-                if den.kind != "int":
-                    raise ParseError(
-                        f"unexpected {_describe(den)}", den.offset,
-                        frozenset({"integer denominator"}),
-                    )
-                if den.value == 0:
-                    raise ParseError("zero denominator", den.offset)
+                den_tok = self.peek()
+                if den_tok.kind != "int":
+                    raise self.unexpected(den_tok, "integer denominator")
+                if den_tok.value == 0:
+                    raise self.error("zero denominator", den_tok)
                 self.advance()
-                value /= den.value
-            return BivarPoly.const(value)
+                den = den_tok.value
+            return ({(0, 0): tok.value} if tok.value else {}), den
         if tok.kind == "name":
             if tok.text not in self.variables:
-                raise ParseError(
-                    f"unknown variable {tok.text!r}", tok.offset,
-                    frozenset({f"variable {v!r}" for v in self.variables}),
-                )
+                raise self.error(f"unknown variable {tok.text!r}", tok,
+                                 frozenset({f"variable {v!r}" for v in self.variables}))
             self.advance()
-            index = self.variables.index(tok.text)
-            return BivarPoly.monomial(1 - index, index)
+            return ({(1, 0): 1} if tok.text == self.variables[0] else {(0, 1): 1}), 1
         if tok.kind == "(":
             self.nest()
-            inner = self.expr()
+            value = self.expr()
             self.expect(")", "')'")
             self.depth -= 1
-            return inner
-        raise ParseError(
-            f"unexpected {_describe(tok)}", tok.offset,
-            frozenset({"integer", "'('"} | {f"variable {v!r}" for v in self.variables}),
-        )
+            return value
+        raise self.unexpected(tok, "integer", "'('", *(f"variable {v!r}" for v in self.variables))
 
 
 def _describe(tok: _Token) -> str:
@@ -195,35 +232,29 @@ def _describe(tok: _Token) -> str:
 
 def parse_poly(text: str, variables: tuple[str, str] = ("x", "y")) -> BivarPoly:
     """Parse a single polynomial expression in the two given variables."""
-    parser = _Parser(_tokenize(text), variables)
-    poly = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {_describe(tok)}", tok.offset, frozenset({"end of input"}))
+    parser = _Parser(text, variables)
+    poly = BivarPoly.from_numerators(*parser.expr())
+    parser.expect_end()
     return poly
 
 
 def parse_bindings(text: str, names: tuple[str, str],
                    variables: tuple[str, str]) -> tuple[BivarPoly, BivarPoly]:
     """Parse 'a = expr ; b = expr' with the required binding names in order."""
-    parser = _Parser(_tokenize(text), variables)
+    parser = _Parser(text, variables)
     polys: list[BivarPoly] = []
     for k, name in enumerate(names):
         if k:
             parser.expect(";", "';'")
         tok = parser.peek()
         if tok.kind != "name" or tok.text != name:
-            raise ParseError(
-                f"unexpected {_describe(tok)}", tok.offset, frozenset({f"binding {name!r}"}),
-            )
+            raise parser.unexpected(tok, f"binding {name!r}")
         parser.advance()
         parser.expect("=", "'='")
-        polys.append(parser.expr())
+        polys.append(BivarPoly.from_numerators(*parser.expr()))
     if parser.peek().kind == ";":
         parser.advance()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {_describe(tok)}", tok.offset, frozenset({"end of input"}))
+    parser.expect_end()
     return polys[0], polys[1]
 
 

@@ -5,8 +5,9 @@ is built on :class:`BivarPoly`, stored as integer numerators ``{(i, j): n}``
 over one positive denominator in lowest terms (no zero numerator, gcd of all
 of them 1), so equality of values is equality of representations.  Every
 operation works on integers and ends in one normaliser; Fractions appear
-only where a coefficient or a value is handed out.  Exponents are
-non-negative machine integers.
+only where a coefficient or a value is handed out.  Products and powers run
+on two numerator kernels, mul_numerators and pow_numerators, which the
+parser calls too.  Exponents are non-negative machine integers.
 """
 
 from __future__ import annotations
@@ -165,36 +166,14 @@ class BivarPoly:
                               self._den * c.denominator)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        if not self._num or not other._num:
-            return BivarPoly.zero()
-        # Every exponent sum is at most the sum of the largest exponents, and
-        # that sum is reached, so one check per product covers all term pairs.
-        dx1, dy1 = map(max, zip(*self._num))
-        dx2, dy2 = map(max, zip(*other._num))
-        _check_exponent(dx1 + dx2)
-        _check_exponent(dy1 + dy2)
-        acc: dict[Monomial, int] = {}
-        get = acc.get
-        for (i1, j1), c1 in self._num.items():
-            for (i2, j2), c2 in other._num.items():
-                key = (i1 + i2, j1 + j2)
-                acc[key] = get(key, 0) + c1 * c2
-        return _normalise(acc, self._den * other._den)
+        return _normalise(mul_numerators(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BivarPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = BivarPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _normalise(*pow_numerators(self._num, self._den, n))
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -294,9 +273,8 @@ class BivarPoly:
                 factors.append(vx if i == 1 else f"{vx}^{i}")
             if j:
                 factors.append(vy if j == 1 else f"{vy}^{j}")
-            mag = Fraction(abs(n), self._den)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
+            if abs(n) != self._den or not factors:
+                factors.insert(0, _ratio(abs(n), self._den))
             body = "*".join(factors)
             if not parts:
                 parts.append(body if n > 0 else f"-{body}")
@@ -306,7 +284,7 @@ class BivarPoly:
 
     def to_term_list(self) -> list[tuple[int, int, str]]:
         """JSON-friendly sorted term list [(i, j, "p/q"), ...]."""
-        return [(i, j, str(c)) for (i, j), c in self.terms()]
+        return [(i, j, _ratio(n, self._den)) for (i, j), n in sorted(self._num.items())]
 
     @classmethod
     def from_term_list(cls, items: Iterable[tuple[int, int, str]]) -> "BivarPoly":
@@ -326,6 +304,64 @@ def _normalise(num: Mapping[Monomial, int], den: int, p: BivarPoly | None = None
     object.__setattr__(p, "_num", num)
     object.__setattr__(p, "_den", den)
     return p
+
+
+def mul_numerators(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """The integer product of two numerator dicts, unreduced: it may hold
+    zero entries where terms cancel.  An empty operand gives {} before any
+    check; otherwise ExponentOverflowError when an exponent of the product
+    would pass MAX_EXPONENT (the x exponents are checked first)."""
+    if not a or not b:
+        return {}
+    if len(a) == 1 and len(b) == 1:
+        ((i1, j1), c1), = a.items()
+        ((i2, j2), c2), = b.items()
+        return {(_check_exponent(i1 + i2), _check_exponent(j1 + j2)): c1 * c2}
+    # Every exponent sum is at most the sum of the largest exponents, and
+    # that sum is reached, so one check per product covers all term pairs.
+    dx1, dy1 = map(max, zip(*a))
+    dx2, dy2 = map(max, zip(*b))
+    _check_exponent(dx1 + dx2)
+    _check_exponent(dy1 + dy2)
+    acc: dict[Monomial, int] = {}
+    get = acc.get
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            acc[key] = get(key, 0) + c1 * c2
+    return acc
+
+
+def pow_numerators(num: Mapping[Monomial, int], den: int,
+                   n: int) -> tuple[dict[Monomial, int], int]:
+    """(num/den)^n as unreduced numerators over den^n, for n >= 0; 0^0 is 1.
+
+    A single term whose powered exponents stay within MAX_EXPONENT is raised
+    directly.  Anything else is squared repeatedly on mul_numerators, so an
+    overflow is raised by the first product of that squaring whose
+    exponents pass MAX_EXPONENT."""
+    if len(num) == 1:
+        ((i, j), c), = num.items()
+        if i * n <= MAX_EXPONENT and j * n <= MAX_EXPONENT:
+            return {(i * n, j * n): c**n}, den**n
+    result = {(0, 0): 1}
+    result_den = 1
+    while n:
+        if n & 1:
+            result, result_den = mul_numerators(result, num), result_den * den
+        n >>= 1
+        if n:
+            num, den = mul_numerators(num, num), den * den
+    return result, result_den
+
+
+def _ratio(n: int, den: int) -> str:
+    """n/den in lowest terms as "p" or "p/q", the text str(Fraction(n, den))
+    gives, for den > 0."""
+    if den == 1:
+        return str(n)
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _as_poly(value: "BivarPoly | Scalar") -> BivarPoly:

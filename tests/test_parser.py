@@ -1,10 +1,12 @@
 """Expression grammar: precedence, rationals, bindings, error offsets."""
 
+import operator
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import monodroma
 from monodroma import BivarPoly, ParseError, parse_bindings, parse_map, parse_poly
+from monodroma.cli import main
+from monodroma.polycore import MAX_EXPONENT, ExponentOverflowError
 
 from genmaps import rand_poly
 
@@ -114,6 +118,68 @@ def test_error_offsets_are_bytes_not_code_points():
     assert err.value.offset == 4
 
 
+def test_only_ascii_digits_form_numbers():
+    # ARABIC-INDIC DIGIT THREE is a Unicode digit, not a grammar digit.
+    for text, offset in (("x^\u0663", 2), ("\u0663*x", 0), ("\u00b5^\u0663", 3)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert str(err.value) == f"unexpected character '\u0663' at byte {offset}"
+        assert err.value.offset == offset
+
+
+def test_an_oversized_literal_is_a_parse_error(capsys):
+    with pytest.raises(ParseError) as err:
+        parse_poly("x + " + "9" * 5000)
+    assert err.value.offset == 4
+    assert "integer literal of 5000 digits" in str(err.value)
+    assert main(["check", "f = x + " + "9" * 5000 + "; g = y"]) == 1
+    assert capsys.readouterr().err.startswith("parse error: integer literal of 5000 digits")
+
+
+_CAP = MAX_EXPONENT  # 2^62
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("x + ", ParseError,
+     "unexpected end of input at byte 4 (expected '(', integer, variable 'x', variable 'y')"),
+    ("x ^ y", ParseError, "unexpected name 'y' at byte 4 (expected non-negative integer exponent)"),
+    ("x + %", ParseError, "unexpected character '%' at byte 4"),
+    ("(x + y", ParseError, "unexpected end of input at byte 6 (expected ')')"),
+    ("x y", ParseError, "unexpected name 'y' at byte 2 (expected end of input)"),
+    ("x/2", ParseError, "unexpected '/' at byte 1 (expected end of input)"),
+    ("2/x", ParseError, "unexpected name 'x' at byte 2 (expected integer denominator)"),
+    ("1/0", ParseError, "zero denominator at byte 2"),
+    ("x + \u00b5", ParseError,
+     "unknown variable '\u00b5' at byte 4 (expected variable 'x', variable 'y')"),
+    ("y + x^99999999999999999999", ParseError,
+     f"exponent 99999999999999999999 exceeds {_CAP} at byte 6"),
+    ("(" * 101 + "x" + ")" * 101, ParseError, "nesting deeper than 100 at byte 100"),
+    (f"x^{_CAP}*x", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
+    (f"y^{_CAP}*x^{_CAP}*y", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
+    (f"(x^2)^{_CAP // 2 + 1}", ExponentOverflowError, f"exponent {_CAP + 2} exceeds {_CAP}"),
+    # Repeated squaring passes the cap at the square x^(2^63), before the
+    # result's x^(3 * 2^62): the first product over the cap names the error.
+    (f"(x^4)^{3 * _CAP // 4}", ExponentOverflowError, f"exponent {2 * _CAP} exceeds {_CAP}"),
+])
+def test_error_parity_on_hostile_inputs(text, error, message):
+    with pytest.raises(error) as err:
+        parse_poly(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_hostile_inputs_that_parse():
+    assert parse_poly(f"0*x^{_CAP}*x") == 0
+    assert parse_poly(f"(x^2)^{_CAP // 2}") == BivarPoly.monomial(_CAP, 0)
+    assert parse_poly(f"(x*y^2)^{_CAP // 2}") == BivarPoly.monomial(_CAP // 2, _CAP)
+    assert parse_poly(f"(x - x)^{_CAP}") == 0
+    assert parse_poly(f"(2/2*x)^{_CAP}") == BivarPoly.monomial(_CAP, 0)
+    assert parse_poly(f"(-1)^{_CAP}") == 1
+    assert parse_poly("0^0") == 1
+    assert parse_poly("0^3") == 0
+    assert parse_poly("(x + y)^0") == 1
+
+
 def test_tokenizing_is_linear_in_the_input():
     # 150,000 terms "x + " spaced with two-byte no-break spaces, then a stray
     # character: 900 KB that tokenize well inside the timeout only when the
@@ -155,6 +221,52 @@ def test_parsing_a_long_sum_is_linear_in_its_terms():
 def test_to_string_round_trips(p):
     assert parse_poly(p.to_string()) == p
     assert parse_poly(p.to_string(("u", "v")), ("u", "v")) == p
+
+
+def _operand(node, prec):
+    text, _, node_prec = node
+    return text if node_prec >= prec else f"({text})"
+
+
+def _binary(children, op, apply, lhs_prec, rhs_prec, prec):
+    return st.tuples(children, children).map(lambda ab: (
+        f"{_operand(ab[0], lhs_prec)} {op} {_operand(ab[1], rhs_prec)}",
+        apply(ab[0][1], ab[1][1]), prec))
+
+
+def _raise(node, k):
+    # Keep degrees and coefficients small: a power that would pass size 12
+    # is taken to the exponent's parity instead.
+    text, value, _ = node
+    size = max(value.total_degree(), 1) if value else 1
+    k = k if size * k <= 12 else k % 2
+    # k products, not value ** k, so the reference shares no power routine.
+    return f"{_operand(node, 4)}^{k}", reduce(operator.mul, [value] * k, BivarPoly.const(1)), 3
+
+
+# Nodes (text, value, precedence): 0 sum, 1 product, 2 unary minus, 3 power,
+# 4 atom; an operand of lower precedence than its place allows is wrapped.
+_ATOMS = st.one_of(
+    st.sampled_from([("x", X), ("y", Y)]),
+    st.integers(0, 30).map(lambda n: (str(n), BivarPoly.const(n))),
+    st.tuples(st.integers(0, 30), st.integers(1, 12)).map(
+        lambda nd: (f"{nd[0]}/{nd[1]}", BivarPoly.const(Fraction(*nd)))),  # unreduced: 4/6
+).map(lambda tv: (*tv, 4))
+_EXPRESSIONS = st.recursive(_ATOMS, lambda children: st.one_of(
+    _binary(children, "+", operator.add, 0, 1, 0),
+    _binary(children, "-", operator.sub, 0, 1, 0),
+    _binary(children, "*", operator.mul, 1, 2, 1),  # products of sums
+    children.map(lambda a: (f"-{_operand(a, 2)}", -a[1], 2)),
+    children.map(lambda a: (f"({a[0]})", a[1], 4)),  # redundant parentheses
+    st.tuples(children, st.integers(0, 4)).map(lambda ak: _raise(*ak)),  # 0^k, ^0
+), max_leaves=10)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_EXPRESSIONS)
+def test_parse_agrees_with_bivarpoly_operators(node):
+    text, value, _ = node
+    assert parse_poly(text) == value
 
 
 def test_parse_map_bindings():
