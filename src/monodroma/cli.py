@@ -4,13 +4,15 @@ Exit codes for ``check``: 0 Injective, 2 Inconclusive, 3 NotApplicable,
 1 usage, parse or input error (an exponent past polycore.MAX_EXPONENT too).
 No subcommand draws random numbers at run time: the same input always gives
 the same output, apart from timings.  Only ``check --with-oracle`` runs
-numerics: after certification, it winds on ``Certificate.compactified``.
+numerics: after certification, it winds on ``Certificate.compactified`` and
+prints ``cima_condition``, the 2016 coprime-leading-forms comparison.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from typing import Optional, Sequence
@@ -21,7 +23,7 @@ from .field import PlanarField, hamiltonian_field, support_points
 from .bendixson import compactify
 from .diagram import build_diagram
 from .monodromy import check_monodromic
-from .pipeline import INCONCLUSIVE, INJECTIVE, NOT_APPLICABLE, certify
+from .pipeline import INCONCLUSIVE, INJECTIVE, NOT_APPLICABLE, certify, cima_condition
 from .realroots import quasi_factor_test
 from .render import render_ascii, render_svg
 
@@ -36,7 +38,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _print_certificate(cert, windings: list) -> None:
+def _print_certificate(cert, cima: Optional[bool], windings: list) -> None:
     print(f"verdict: {cert.verdict}")
     if cert.reason:
         print(f"reason: {cert.reason}")
@@ -50,8 +52,6 @@ def _print_certificate(cert, windings: list) -> None:
         (px, py), (nx, ny) = det.segment
         line += f" between ({px}, {py}) where det > 0 and ({nx}, {ny}) where det < 0"
     print(line)
-    if cert.cima is not None:
-        print(f"coprime leading forms: {'yes' if cert.cima else 'no'}")
     if cert.diagram is not None:
         points = ", ".join(str(v.point) for v in cert.diagram.vertices)
         print(f"diagram vertices: {points}")
@@ -62,6 +62,8 @@ def _print_certificate(cert, windings: list) -> None:
         for report in cert.monodromy.conditions:
             mark = "pass" if report.passed else "FAIL"
             print(f"  ({report.condition}) {mark}: {report.detail}")
+    if cima is not None:
+        print(f"coprime leading forms: {'yes' if cima else 'no'}")
     for radius, run in windings:
         print(f"oracle winding from r={radius}: {run.angle:+.6f} ({run.status})")
     print(f"total time: {cert.timings_ms['total']:.1f} ms")
@@ -70,7 +72,7 @@ def _print_certificate(cert, windings: list) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     f, g = parse_map(args.map)
     cert = certify(f, g, assume_det=args.assume_det)
-    windings = []
+    cima, windings = None, []
     if args.with_oracle and cert.compactified is not None:
         try:
             from . import oracle
@@ -79,16 +81,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         start = time.perf_counter()
+        cima = cima_condition(f, g)
         windings = [(r, oracle.winding(cert.compactified, (r, 0.0))) for r in (0.05, 0.1, 0.3)]
         cert.timings_ms["oracle"] = (time.perf_counter() - start) * 1000.0
     if args.json:
         doc = cert.to_json_dict()
         if windings:
-            doc["oracle"] = {"winding": [{"start_radius": r, "angle": run.angle,
+            doc["oracle"] = {"cima_condition": cima,
+                             "winding": [{"start_radius": r, "angle": run.angle,
                                           "status": run.status} for r, run in windings]}
         print(json.dumps(doc, indent=2))
     else:
-        _print_certificate(cert, windings)
+        _print_certificate(cert, cima, windings)
     return _VERDICT_EXIT[cert.verdict]
 
 
@@ -138,9 +142,13 @@ def _cmd_bendixson(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor_test(args: argparse.Namespace) -> int:
+    typed = re.fullmatch(r"([0-9]+),([0-9]+)", args.type)
+    if typed is None:
+        print(f"invalid --type {args.type!r}: expected T1,T2, "
+              "two non-negative integers such as 3,1", file=sys.stderr)
+        return 1
     try:
-        t1_text, t2_text = args.type.split(",")
-        t = quasi_type(int(t1_text), int(t2_text))
+        t = quasi_type(int(typed[1]), int(typed[2]))
     except ValueError as exc:
         print(f"invalid --type: {exc}", file=sys.stderr)
         return 1

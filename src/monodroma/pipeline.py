@@ -35,7 +35,7 @@ from .diagram import NewtonDiagram, build_diagram
 from .monodromy import MONODROMIC, MonodromyVerdict, check_monodromic
 from .realroots import FactorWitness
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 PROVED = "ProvedNonvanishing"
 ASSUMED = "AssumedByUser"
@@ -178,15 +178,11 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
 
 def cima_condition(f: BivarPoly, g: BivarPoly) -> bool:
     """Whether the leading forms of the Hamiltonian field components share
-    no real linear factor.  A zero component counts as divisible by every
-    linear form, so only real-factor-free partners survive it.
-    """
-    return _cima_condition(hamiltonian_field(f, g))
-
-
-def _cima_condition(x_field: PlanarField) -> bool:
-    """cima_condition on the Hamiltonian field of the map."""
-    lam_top, omg_top = leading_forms(x_field)
+    no real linear factor: the 2016 condition the criterion generalizes
+    (J. Differential Equations 260, 5250-5258).  No verdict reads it.  A
+    zero component counts as divisible by every linear form, so only
+    real-factor-free partners survive it."""
+    lam_top, omg_top = leading_forms(hamiltonian_field(f, g))
     if lam_top.is_zero:
         return not real_linear_factor_exists(omg_top)
     if omg_top.is_zero:
@@ -206,7 +202,6 @@ class Certificate:
     verdict: str
     reason: Optional[str]
     det_status: DetStatus
-    cima: Optional[bool]
     hamiltonian: Optional[PlanarField]
     diagram: Optional[NewtonDiagram]
     monodromy: Optional[MonodromyVerdict]
@@ -228,11 +223,11 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
     def done(stage: str, start: float) -> None:
         timings[stage] = (time.perf_counter() - start) * 1000.0
 
-    def finish(verdict: str, reason: Optional[str], det: DetStatus, cima: Optional[bool] = None,
+    def finish(verdict: str, reason: Optional[str], det: DetStatus,
                ham: Optional[PlanarField] = None, dia: Optional[NewtonDiagram] = None,
                mono: Optional[MonodromyVerdict] = None) -> Certificate:
         timings["total"] = (time.perf_counter() - start_total) * 1000.0
-        return Certificate(f, g, verdict, reason, det, cima, ham, dia, mono, timings)
+        return Certificate(f, g, verdict, reason, det, ham, dia, mono, timings)
 
     if f.is_zero and g.is_zero:
         return finish(NOT_APPLICABLE, "zero map: the Hamiltonian field vanishes identically",
@@ -275,10 +270,6 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
     mono = check_monodromic(dia)
     done("monodromy", start)
 
-    start = time.perf_counter()
-    cima = _cima_condition(x_field)
-    done("cima", start)
-
     if mono.outcome == MONODROMIC and det_status.holds:
         verdict, reason = INJECTIVE, None
     elif mono.outcome == MONODROMIC:
@@ -287,7 +278,7 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
     else:
         verdict = INCONCLUSIVE
         reason = f"monodromy: {mono.outcome}" + (f" ({mono.reason})" if mono.reason else "")
-    return finish(verdict, reason, det_status, cima, x_field, dia, mono)
+    return finish(verdict, reason, det_status, x_field, dia, mono)
 
 
 # -- JSON serialization --------------------------------------------------------
@@ -377,7 +368,6 @@ def _certificate_json(cert: Certificate) -> dict:
         "verdict": cert.verdict,
         "reason": cert.reason,
         "det_status": _det_json(cert.det_status),
-        "cima_condition": cert.cima,
         "diagram": None if cert.diagram is None
         else _diagram_json(cert.diagram, cert.monodromy),
         "monodromy": mono,

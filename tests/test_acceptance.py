@@ -15,10 +15,13 @@ from genmaps import (
     rand_example1,
     rand_example2,
     rand_valid_map,
+    shear_composition,
+    triangular_map,
 )
 
 from monodroma import (
     INJECTIVE,
+    MONODROMIC,
     PROVED,
     BivarPoly,
     PlanarField,
@@ -116,10 +119,14 @@ def test_criterion_04_coprimality_check_on_the_families():
 
 
 def test_criterion_05_coprime_maps_have_factor_free_edges():
+    # The criterion generalizes the coprime-leading-forms condition of
+    # [JDE 260 (2016) 5250-5258]: every map that condition accepts, with a
+    # proved determinant, must come out Monodromic.
     start = time.perf_counter()
     rng = random.Random(405)
     makers = [linear_map, odd_power_map,
-              lambda r: odd_power_map(r, equal_powers=True)]
+              lambda r: odd_power_map(r, equal_powers=True),
+              triangular_map, shear_composition, rand_valid_map]
     accepted = 0
     while accepted < 200:
         f, g = rng.choice(makers)(rng)
@@ -131,6 +138,7 @@ def test_criterion_05_coprime_maps_have_factor_free_edges():
         for edge in bounded_edges(dia):
             assert quasi_factor_test(edge.h, edge.t).has_factor is False, (
                 f.to_string(), g.to_string(), edge.t)
+        assert certify(f, g).monodromy.outcome == MONODROMIC, (f.to_string(), g.to_string())
         accepted += 1
     assert time.perf_counter() - start < 300.0
     print("criterion 5: PASS")

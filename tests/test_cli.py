@@ -72,6 +72,7 @@ def test_readme_check_example_is_current():
     done = run_cli(argv[1:], timeout=60)
     assert done.returncode == 0, done.stderr
     actual = done.stdout.splitlines()
+    assert not any(line.startswith("coprime leading forms") for line in actual)
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         if not want.startswith("total time: "):
@@ -84,6 +85,7 @@ def test_check_with_oracle_is_bounded():
     done = run_cli(["check", "--with-oracle", "f = x + (y + x^2)^13; g = y + x^2"],
                    timeout=60)
     assert done.returncode == 2, done.stderr
+    assert "\ncoprime leading forms: no\noracle winding from r=0.05: " in done.stdout
     winding = [line for line in done.stdout.splitlines() if line.startswith("oracle winding")]
     assert len(winding) == 3
     assert all(line.endswith("(exhausted)") for line in winding)
@@ -214,6 +216,11 @@ def test_factor_test_rejects_bad_types(capsys):
     assert main(["factor-test", "u*v", "--type", "0,0"]) == 1
     assert "invalid --type" in capsys.readouterr().err
     assert main(["factor-test", "u*v", "--type", "2,4"]) == 1
+    capsys.readouterr()
+    for text in ("x", "1,2,3", "a,b", "٣,1", "-1,2"):  # ASCII digits only, as in map text
+        assert main(["factor-test", "u*v", f"--type={text}"]) == 1
+        assert capsys.readouterr().err == (f"invalid --type '{text}': expected T1,T2, "
+                                           "two non-negative integers such as 3,1\n")
 
 
 def test_usage_errors_exit_one():

@@ -320,12 +320,14 @@ def test_certify_example_families_are_injective():
         assert cert.verdict == INJECTIVE
         assert cert.reason is None
         assert cert.det_status.status == PROVED
-        assert cert.cima is False
         assert cert.monodromy.outcome == MONODROMIC
         assert cert.diagram is not None
         assert cert.compactified == compactify(cert.hamiltonian)
+        # The 2016 coprime-leading-forms condition rejects both families;
+        # certify no longer runs it, and no stage is timed for it.
+        assert cima_condition(f, g) is False
         expected = {"det", "hamiltonian_field", "compactify", "diagram",
-                    "monodromy", "cima", "total"}
+                    "monodromy", "total"}
         assert set(cert.timings_ms) == expected
 
 
@@ -345,7 +347,7 @@ def test_certify_factor_on_an_edge_is_inconclusive():
     assert cert.reason == "monodromy: Inconclusive (conditions not established: d)"
     assert cert.det_status.status == PROVED
     assert cert.det_status.method == "nonzero constant"
-    assert cert.cima is False
+    assert cima_condition(f, g) is False
     assert cert.monodromy.outcome == MONODROMY_INCONCLUSIVE
     failed = [r for r in cert.monodromy.conditions if not r.passed]
     assert [r.condition for r in failed] == ["d"]
@@ -491,6 +493,10 @@ def test_certificate_with_oracle_winding(capsys):
     code, doc = _check_with_oracle_json(*example1_map([1, 1], [1]), capsys)
     assert code == 0 and doc["verdict"] == INJECTIVE
     assert "oracle" in doc["timings_ms"]
+    assert doc["schema"] == 3 and "cima_condition" not in doc
+    assert doc["oracle"]["cima_condition"] is False
+    with pytest.raises(jsonschema.ValidationError):  # version 2's top-level key
+        jsonschema.validate({**doc, "cima_condition": False}, load_schema())
     runs = doc["oracle"]["winding"]
     assert [run["start_radius"] for run in runs] == [0.05, 0.1, 0.3]
     for run in runs:
@@ -520,6 +526,7 @@ def test_oracle_winding_integrates_the_full_field(capsys):
     x_field = hamiltonian_field(f, g)
     assert compactify_lower(x_field) != compactify(x_field)
     _, doc = _check_with_oracle_json(f, g, capsys)
+    assert doc["oracle"]["cima_condition"] is cima_condition(f, g)
     expected = [oracle.winding(compactify(x_field), (radius, 0.0))
                 for radius in (0.05, 0.1, 0.3)]
     assert [(run["angle"], run["status"]) for run in doc["oracle"]["winding"]] == [
@@ -532,7 +539,7 @@ def test_certificate_json_shape():
     assert doc["verdict"] == INJECTIVE
     assert doc["input"] == {"f": cert.f.to_string(), "g": cert.g.to_string()}
     assert doc["det_status"]["status"] == PROVED
-    assert doc["cima_condition"] is False
+    assert doc["schema"] == 3 and "cima_condition" not in doc
     points = [tuple(v["point"]) for v in doc["diagram"]["vertices"]]
     assert points == [(0, 12), (6, 2), (8, 0)]
     assert all(t["passed"] for t in doc["monodromy"]["conditions"])
