@@ -117,10 +117,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 def _cmd_monodromy(args: argparse.Namespace) -> int:
     p, q = parse_bindings(args.field, ("P", "Q"), ("u", "v"))
     x_field = PlanarField(p, q)
-    if x_field.is_zero:
-        print("zero field", file=sys.stderr)
-        return 1
-    dia = build_diagram(x_field)
+    dia = build_diagram(x_field)  # the zero field has no support: an error, exit 1
     verdict = check_monodromic(dia)
     print(render_ascii(dia, support_points(x_field)))
     print()

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .polycore import BivarPoly, QuasiType, quasi_type
-from .field import PlanarField, SplitField, split, support_points
+from .field import PlanarField, SplitField, split, vector_coefficients
 # Not called here: tracers wrap the name monodroma.diagram.support (bench/spans.py).
 from .field import support  # noqa: F401
 
@@ -140,20 +140,18 @@ def _edge_type(a: tuple[int, int], b: tuple[int, int]) -> QuasiType:
     return quasi_type(dy // g, dx // g)
 
 
-def _highest_x_coeff(h: BivarPoly) -> Fraction:
-    return max(h.terms(), key=lambda term: term[0][0])[1]
-
-
-def _highest_y_coeff(h: BivarPoly) -> Fraction:
-    return max(h.terms(), key=lambda term: term[0][1])[1]
+def _highest_coeff(h: BivarPoly, axis: int) -> Fraction:
+    """Coefficient of h at its key of largest x (axis 0) or y (axis 1) exponent."""
+    num, den = h.numerators()
+    return Fraction(num[max(num, key=lambda key: key[axis])], den)
 
 
 def build_diagram(x_field: PlanarField) -> NewtonDiagram:
     """Newton diagram of a nonzero field, with edge splittings and betas."""
-    vertices = tuple(
-        Vertex(pt, x_field.support_coeff(*pt), "exterior" if 0 in pt else "inner")
-        for pt in newton_chain(support_points(x_field))
-    )
+    coeffs, den = vector_coefficients(x_field)
+    vertices = tuple(Vertex(pt, (Fraction(coeffs[pt][0], den), Fraction(coeffs[pt][1], den)),
+                            "exterior" if 0 in pt else "inner")
+                     for pt in newton_chain(coeffs))
 
     def edge(t: QuasiType, ends: tuple[Vertex, ...]) -> Edge:
         line_value = t[0] * ends[0].point[0] + t[1] * ends[0].point[1]
@@ -179,7 +177,7 @@ def build_diagram(x_field: PlanarField) -> NewtonDiagram:
         if upper.h.is_zero or lower.h.is_zero:
             undefined.append((vertex.point, "adjacent edge Hamiltonian is null"))
             continue
-        betas.append((vertex.point, _highest_x_coeff(upper.h) * _highest_y_coeff(lower.h)))
+        betas.append((vertex.point, _highest_coeff(upper.h, 0) * _highest_coeff(lower.h, 1)))
 
     return NewtonDiagram(vertices, tuple(edges), tuple(betas), tuple(undefined))
 

@@ -6,16 +6,18 @@ field of (f^2 + g^2)/2 is
     X = (P, Q) = (-f*f_y - g*g_y,  f*f_x + g*g_x).
 
 Support points of a field are read off the shifted products y*P and x*Q, so
-each lattice point carries a vector coefficient (a, b).  A quasi-homogeneous
-field of type t and degree k splits uniquely into a Hamiltonian part and a
-dissipative multiple of (t1*x, t2*y); that splitting is what edge
-Hamiltonians of the Newton diagram are made of.
+each lattice point (x, y) carries a vector coefficient (a, b).  A field that
+is quasi-homogeneous of type t and degree k splits uniquely into the
+Hamiltonian field of h plus mu * (t1*x, t2*y), point by point: with
+w = k + t1 + t2, h gets (t1*b - t2*a)/w at x^x y^y and mu gets (x*a + y*b)/w
+at x^(x-1) y^(y-1).  Edge Hamiltonians of the Newton diagram are this split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, quasi_type
@@ -43,13 +45,6 @@ class PlanarField:
         degs = [c.total_degree() for c in (self.p, self.q) if not c.is_zero]
         return max(degs)
 
-    def support_coeff(self, i: int, j: int) -> tuple[Fraction, Fraction]:
-        """Vector coefficient (a, b) at a lattice point: those of y*p and x*q."""
-        return self.p.coeff(i, j - 1), self.q.coeff(i - 1, j)
-
-    def divergence(self) -> BivarPoly:
-        return self.p.partial(0) + self.q.partial(1)
-
     def to_string(self, variables: tuple[str, str] = ("x", "y")) -> str:
         return f"P = {self.p.to_string(variables)} ; Q = {self.q.to_string(variables)}"
 
@@ -73,20 +68,30 @@ class SupportPoint:
     coeff: tuple[Fraction, Fraction]
 
 
-def support(x_field: PlanarField) -> list[SupportPoint]:
-    """Support of the field: nonzero coefficient pairs of (y*p, x*q).
+def vector_coefficients(x_field: PlanarField) -> tuple[dict[tuple[int, int], list[int]], int]:
+    """{(x, y): [a, b]} on supp(X), a from p at (x, y - 1) and b from q at (x - 1, y),
+    as integer numerators over one positive denominator.  Error on the zero field."""
+    if x_field.is_zero:
+        raise ZeroPolynomialError("support of the zero field")
+    (p, p_den), (q, q_den) = x_field.p.numerators(), x_field.q.numerators()
+    den = lcm(p_den, q_den)
+    p_scale, q_scale = den // p_den, den // q_den
+    coeffs = {(i, j + 1): [n * p_scale, 0] for (i, j), n in p.items()}
+    for (i, j), n in q.items():
+        coeffs.setdefault((i + 1, j), [0, 0])[1] = n * q_scale
+    return coeffs, den
 
-    Sorted lexicographically by lattice point.  Error on the zero field.
-    """
-    return [SupportPoint(pt, x_field.support_coeff(*pt)) for pt in sorted(support_points(x_field))]
+
+def support(x_field: PlanarField) -> list[SupportPoint]:
+    """vector_coefficients as Fractions, sorted by lattice point; error on the zero field."""
+    coeffs, den = vector_coefficients(x_field)
+    return [SupportPoint(pt, (Fraction(a, den), Fraction(b, den)))
+            for pt, (a, b) in sorted(coeffs.items())]
 
 
 def support_points(x_field: PlanarField) -> set[tuple[int, int]]:
     """The lattice points of supp(X), without coefficients.  Error on the zero field."""
-    if x_field.is_zero:
-        raise ZeroPolynomialError("support of the zero field")
-    (p, _), (q, _) = x_field.p.numerators(), x_field.q.numerators()
-    return {(i, j + 1) for i, j in p} | {(i + 1, j) for i, j in q}
+    return set(vector_coefficients(x_field)[0])
 
 
 @dataclass(frozen=True)
@@ -111,23 +116,24 @@ class SplitField:
 
 
 def split(x_field: PlanarField, k: int, t: QuasiType) -> SplitField:
-    """Split a field that is quasi-homogeneous of type t and degree k.
-
-    Errors when k + t1 + t2 = 0 or when the field is not quasi-homogeneous
-    of the stated type and degree.
-    """
+    """Split a field that is quasi-homogeneous of type t and degree k: with
+    w = k + t1 + t2, each support point (x, y) with vector coefficient (a, b)
+    gives (t1*b - t2*a)/w to h at x^x y^y and (x*a + y*b)/w to mu at
+    x^(x-1) y^(y-1).  The zero field splits into zeros.  Errors when w = 0 or
+    when the field is not quasi-homogeneous of that type and degree."""
     t1, t2 = quasi_type(*t)
     weight = k + t1 + t2
     if weight == 0:
         raise ValueError("splitting is undefined when k + t1 + t2 = 0")
-    for part, want in ((x_field.p, k + t1), (x_field.q, k + t2)):
-        if not part.is_zero and part.quasi_degree((t1, t2)) != want:
-            raise ValueError(f"field is not quasi-homogeneous of type {t} and degree {k}")
-    x_mono = BivarPoly.monomial(1, 0)
-    y_mono = BivarPoly.monomial(0, 1)
-    h = (x_mono * x_field.q * t1 - y_mono * x_field.p * t2) * Fraction(1, weight)
-    mu = x_field.divergence() * Fraction(1, weight)
-    return SplitField(k, (t1, t2), h, mu)
+    if x_field.is_zero:
+        return SplitField(k, (t1, t2), BivarPoly.zero(), BivarPoly.zero())
+    coeffs, den = vector_coefficients(x_field)
+    if any(t1 * x + t2 * y != weight for x, y in coeffs):
+        raise ValueError(f"field is not quasi-homogeneous of type {t} and degree {k}")
+    h = {(x, y): t1 * b - t2 * a for (x, y), (a, b) in coeffs.items()}
+    mu = {(x - 1, y - 1): x * a + y * b for (x, y), (a, b) in coeffs.items() if x * a + y * b}
+    return SplitField(k, (t1, t2), BivarPoly.from_numerators(h, den * weight),
+                      BivarPoly.from_numerators(mu, den * weight))
 
 
 def leading_forms(x_field: PlanarField) -> tuple[BivarPoly, BivarPoly]:

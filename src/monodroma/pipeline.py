@@ -255,8 +255,6 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
     start = time.perf_counter()
     x_field = hamiltonian_field(f, g)
     done("hamiltonian_field", start)
-    if x_field.is_zero:
-        return finish(NOT_APPLICABLE, "Hamiltonian field is identically zero", det_status)
 
     start = time.perf_counter()
     b_field = compactify_lower(x_field)

@@ -67,14 +67,12 @@ def rand_homogeneous(rng: random.Random, degree: int, bound: int = 6) -> BivarPo
 
 
 def lattice_on_line(t: tuple[int, int], value: int) -> list[tuple[int, int]]:
-    """Nonnegative lattice points on t1*i + t2*j = value."""
+    """Nonnegative lattice points on t1*i + t2*j = value, by increasing i.
+
+    On the axis types (1, 0) and (0, 1) the free exponent runs up to value.
+    """
     t1, t2 = t
-    points = []
-    for i in range(value // t1 + 1):
-        rest = value - t1 * i
-        if rest % t2 == 0:
-            points.append((i, rest // t2))
-    return points
+    return [(i, j) for i in range(value + 1) for j in range(value + 1) if t1 * i + t2 * j == value]
 
 
 def rand_quasi_poly(rng: random.Random, t: tuple[int, int], value: int,

@@ -8,6 +8,7 @@ import pytest
 from monodroma import (
     BivarPoly,
     PlanarField,
+    ZERO_FIELD,
     ZeroPolynomialError,
     common_real_linear_factors,
     hamiltonian_field,
@@ -40,7 +41,7 @@ def test_hamiltonian_field_matches_gradient():
         energy = (f * f + g * g) * Fraction(1, 2)
         assert ham.p == -energy.partial(1)
         assert ham.q == energy.partial(0)
-        assert ham.divergence().is_zero
+        assert (ham.p.partial(0) + ham.q.partial(1)).is_zero
 
 
 def test_hamiltonian_field_identity_map():
@@ -90,14 +91,19 @@ def test_quasi_field_components_reconstruct():
 
 
 def test_split_reconstructs_field():
+    # The last 40 draws take the axis types (1, 0) and (0, 1) of the
+    # unbounded rays in build_diagram.
     rng = random.Random(403)
-    for _ in range(200):
-        t = rand_type(rng, bound=4)
+    for n in range(240):
+        t = rand_type(rng, bound=4) if n < 200 else ((1, 0), (0, 1))[n % 2]
         k = rng.randint(1, 9)
         field = rand_quasi_field(rng, t, k)
         parts = split(field, k, t)
         assert parts.reconstruct() == field
         assert parts.k == k and parts.t == t
+    parts = split(ZERO_FIELD, 3, (2, 1))
+    assert parts.h.is_zero and parts.mu.is_zero
+    assert parts.reconstruct() == ZERO_FIELD
 
 
 def test_split_euler_identity():
