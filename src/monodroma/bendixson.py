@@ -6,46 +6,33 @@ to the polynomial field
 
     b(X) = ( (v^2 - u^2) P* - 2uv Q*,  (u^2 - v^2) Q* - 2uv P* )
 
-where R* is (u^2+v^2)^d R(u/(u^2+v^2), v/(u^2+v^2)).  Working one
-homogeneous component at a time keeps everything polynomial: a component
-R_k contributes R_k(u, v) * (u^2 + v^2)^(d - k) exactly.
+where R* is (u^2+v^2)^d R(u/(u^2+v^2), v/(u^2+v^2)).  In support
+coordinates (field.vector_coefficients) this needs no per-component code:
+a support point (x, y) of X holding (a, b) becomes (a - 2b, -b) at
+(x, y + 2) and (-a, b - 2a) at (x + 2, y), times (u^2 + v^2)^m with the
+circle power m = d + 1 - x - y.
 
 The behaviour of X in the large is then readable at the origin of b(X):
 that is where the injectivity certificate looks.  Only the terms on or
 below the segment A*Y + B*X = A*B joining the lowest support points (0, B)
 and (A, 0) on the axes feed its Newton diagram: points above it lie inside
 the hull of the support plus the first quadrant, a bounded edge's line
-meets the support only on that edge, and no edge is unbounded.  The pure-v
-terms of b(X).p are v^2 P_k(0, v) v^(2d-2k), of distinct exponents 2d+2-k,
-so B = 2d+3-k for the largest k with y^k in P; A likewise from x^k in Q.
+meets the support only on that edge, and no edge is unbounded.  Only
+(0, y) of supp(X) reaches the v-axis, at (0, y + 2 + 2m) = (0, 2d + 4 - y),
+so B = 2d + 4 - max{y : (0, y) in supp(X)}; likewise
+A = 2d + 4 - max{x : (x, 0) in supp(X)}.
 """
 
 from __future__ import annotations
 
-from math import lcm
-from typing import Iterable, Optional
+from typing import Optional
 
-from .polycore import BivarPoly, Monomial, _check_exponent
-from .field import PlanarField, ZERO_FIELD
-
-# Multipliers as (u-exponent, v-exponent, coefficient) terms.
-_VV_MINUS_UU = ((0, 2, 1), (2, 0, -1))
-_UU_MINUS_VV = ((2, 0, 1), (0, 2, -1))
-_MINUS_TWO_UV = ((1, 1, -2),)
+from .polycore import Monomial, _check_exponent
+from .field import PlanarField, ZERO_FIELD, from_vector_coefficients, vector_coefficients
 
 
 class DegenerateTransformError(ValueError):
     """Compactification of a nonzero constant field is not defined."""
-
-
-def _add_product(acc: dict[Monomial, int], terms: Iterable[tuple[Monomial, int]],
-                 multiplier: Iterable[tuple[int, int, int]]) -> None:
-    """acc += terms * multiplier, on integer term dicts."""
-    get = acc.get
-    for (i, j), c in terms:
-        for di, dj, w in multiplier:
-            key = (i + di, j + dj)
-            acc[key] = get(key, 0) + c * w
 
 
 def compactify(x_field: PlanarField) -> PlanarField:
@@ -54,9 +41,10 @@ def compactify(x_field: PlanarField) -> PlanarField:
     A nonzero constant field is rejected: with d = 0 the time rescaling
     cannot absorb the inversion and the transform degenerates.
 
-    Degree by degree, A_k = (v^2-u^2) P_k - 2uv Q_k and
-    B_k = (u^2-v^2) Q_k - 2uv P_k are multiplied by (u^2+v^2)^(d-k) through
-    its binomial coefficients, in integers over one common denominator.
+    In integers over one denominator, a support point (x, y) holding (a, b)
+    puts (a - 2b, -b) at (x, y + 2) and (-a, b - 2a) at (x + 2, y); step
+    s = 0..m of its circle power m = d + 1 - x - y shifts both by
+    (2s, 2(m - s)) with weight C(m, s).
     """
     return _compactified(x_field, lower=False)
 
@@ -91,33 +79,37 @@ def _compactified(x_field: PlanarField, lower: bool) -> PlanarField:
     if d == 0:
         raise DegenerateTransformError(
             "cannot compactify a nonzero constant field (degree 0)")
-    (p, den_p), (q, den_q) = x_field.p.numerators(), x_field.q.numerators()
-    den = lcm(den_p, den_q)
     # The largest exponent formed: a term of degree k gains 2(d - k) from
     # the circle power and at most 2 from its multiplier.
-    _check_exponent(max(max(i, j) + 2 * (d - i - j) for terms in (p, q) for i, j in terms) + 2)
-    k_p = max((j for i, j in p if i == 0), default=None)
-    k_q = max((i for i, j in q if j == 0), default=None)
-    hits = (2 * d + 3 - k_q, 2 * d + 3 - k_p) if lower and None not in (k_p, k_q) else None
-    sp, sq = den // den_p, den // den_q
-    parts: dict[int, tuple[dict[Monomial, int], dict[Monomial, int]]] = {}
-    for terms, scale, side, factor in ((p, sp, 0, _VV_MINUS_UU), (q, sq, 0, _MINUS_TWO_UV),
-                                       (q, sq, 1, _UU_MINUS_VV), (p, sp, 1, _MINUS_TWO_UV)):
-        for key, c in terms.items():
-            _add_product(parts.setdefault(sum(key), ({}, {}))[side], ((key, c * scale),), factor)
-    out_p: dict[Monomial, int] = {}
-    out_q: dict[Monomial, int] = {}
-    for k, (a_k, b_k) in parts.items():
-        m = d - k
-        # A term (i, j) of A_k or B_k has the support point (i, j + 1) or (i + 1, j).
-        sides = [(out, [((i, j), c, s) for (i, j), c in terms.items()
-                        if (s := _kept_positions(hits, i + ox, j + oy, m))])
-                 for out, terms, (ox, oy) in ((out_p, a_k, (0, 1)), (out_q, b_k, (1, 0)))]
+    _check_exponent(max(max(i, j) + 2 * (d - i - j)
+                        for c in (x_field.p, x_field.q) for i, j in c.numerators()[0]) + 2)
+    coeffs, den = vector_coefficients(x_field)
+    x_max = max((x for x, y in coeffs if y == 0), default=None)
+    y_max = max((y for x, y in coeffs if x == 0), default=None)
+    hits = (2 * d + 4 - x_max, 2 * d + 4 - y_max) if lower and None not in (x_max, y_max) else None
+    # The rotated points, grouped by the circle power m of their source.
+    rotated: dict[int, dict[Monomial, list[int]]] = {}
+    for (x, y), (a, b) in coeffs.items():
+        points = rotated.setdefault(d + 1 - x - y, {})
+        for key, da, db in (((x, y + 2), a - 2 * b, -b), ((x + 2, y), -a, b - 2 * a)):
+            acc = points.setdefault(key, [0, 0])
+            acc[0] += da
+            acc[1] += db
+    out: dict[Monomial, list[int]] = {}
+    get = out.get
+    for m, points in rotated.items():
+        kept = [(x, y, a, b, s) for (x, y), (a, b) in points.items()
+                if (s := _kept_positions(hits, x, y, m))]
         circle, w = [], 1
-        for s in range(max((s.stop for _, kept in sides for _, _, s in kept), default=0)):
+        for s in range(max((s.stop for *_, s in kept), default=0)):
             circle.append((2 * s, 2 * (m - s), w))
             w = w * (m - s) // (s + 1)  # C(m, s + 1) = C(m, s) (m - s) / (s + 1)
-        for out, kept in sides:
-            for key, c, s in kept:
-                _add_product(out, ((key, c),), circle[s.start:s.stop])
-    return PlanarField(BivarPoly.from_numerators(out_p, den), BivarPoly.from_numerators(out_q, den))
+        for x, y, a, b, s in kept:
+            for dx, dy, w in circle[s.start:s.stop]:
+                acc = get(key := (x + dx, y + dy))
+                if acc is None:
+                    out[key] = [a * w, b * w]
+                else:
+                    acc[0] += a * w
+                    acc[1] += b * w
+    return from_vector_coefficients(out, den)

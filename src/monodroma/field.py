@@ -6,7 +6,9 @@ field of (f^2 + g^2)/2 is
     X = (P, Q) = (-f*f_y - g*g_y,  f*f_x + g*g_x).
 
 Support points of a field are read off the shifted products y*P and x*Q, so
-each lattice point (x, y) carries a vector coefficient (a, b).  A field that
+each lattice point (x, y) carries a vector coefficient (a, b), a from P at
+(x, y-1) and b from Q at (x-1, y): vector_coefficients reads this map and
+from_vector_coefficients, its inverse, builds a field from it.  A field that
 is quasi-homogeneous of type t and degree k splits uniquely into the
 Hamiltonian field of h plus mu * (t1*x, t2*y), point by point: with
 w = k + t1 + t2, h gets (t1*b - t2*a)/w at x^x y^y and mu gets (x*a + y*b)/w
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, quasi_type
 from .realroots import FactorWitness, UniPoly, dehomogenize, nonzero_real_roots, poly_gcd, squarefree_part, sturm_count
@@ -44,9 +46,6 @@ class PlanarField:
             raise ZeroPolynomialError("degree of the zero field")
         degs = [c.total_degree() for c in (self.p, self.q) if not c.is_zero]
         return max(degs)
-
-    def to_string(self, variables: tuple[str, str] = ("x", "y")) -> str:
-        return f"P = {self.p.to_string(variables)} ; Q = {self.q.to_string(variables)}"
 
 
 ZERO_FIELD = PlanarField(BivarPoly.zero(), BivarPoly.zero())
@@ -80,6 +79,14 @@ def vector_coefficients(x_field: PlanarField) -> tuple[dict[tuple[int, int], lis
     for (i, j), n in q.items():
         coeffs.setdefault((i + 1, j), [0, 0])[1] = n * q_scale
     return coeffs, den
+
+
+def from_vector_coefficients(coeffs: Mapping[tuple[int, int], Sequence[int]], den: int) -> PlanarField:
+    """The inverse of vector_coefficients: a goes to p at (x, y - 1) and b to q at
+    (x - 1, y), each over den > 0; zero entries are dropped."""
+    p = {(x, y - 1): a for (x, y), (a, _) in coeffs.items() if a}
+    q = {(x - 1, y): b for (x, y), (_, b) in coeffs.items() if b}
+    return PlanarField(BivarPoly.from_numerators(p, den), BivarPoly.from_numerators(q, den))
 
 
 def support(x_field: PlanarField) -> list[SupportPoint]:

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from monodroma import (
     BivarPoly,
     DegenerateTransformError,
+    ExponentOverflowError,
     PlanarField,
     ZeroPolynomialError,
     build_diagram,
@@ -40,6 +41,15 @@ def test_zero_field_passes_through():
 def test_constant_field_rejected():
     with pytest.raises(DegenerateTransformError):
         compactify(PlanarField(BivarPoly.const(1), BivarPoly.zero()))
+
+
+@pytest.mark.parametrize("transform", [compactify, compactify_lower])
+def test_exponent_guard_refuses_before_building(transform):
+    # d = 2^62: the constant Q term gains 2d from the circle power, plus 2.
+    field = PlanarField(X ** 2 ** 62, BivarPoly.const(1))
+    with pytest.raises(ExponentOverflowError) as err:
+        transform(field)
+    assert str(err.value) == "exponent 9223372036854775810 exceeds 4611686018427387904"
 
 
 def test_pointwise_inversion_identity():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monodroma import (
     BivarPoly,
@@ -17,6 +18,7 @@ from monodroma import (
     split,
     support,
 )
+from monodroma.field import from_vector_coefficients, vector_coefficients
 from monodroma.oracle import quasi_field_components
 
 from genmaps import (
@@ -61,6 +63,22 @@ def test_support_reads_shifted_exponents():
     assert [(s.point, s.coeff) for s in pts] == [((1, 2), (1, 0)), ((3, 0), (0, 3))]
     merged = support(PlanarField(X ** 2 * Y * 5, X * Y ** 2 * 7))
     assert [(s.point, s.coeff) for s in merged] == [((2, 2), (5, 7))]
+
+
+_polys = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                        max_size=5).map(BivarPoly)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_polys, _polys)
+# Support points on both axes, (0, 1), (0, 4), (1, 0) and (3, 0), and one,
+# (1, 2), that holds both a and b.
+@example(Y ** 3 - 2 + X * Y, X ** 2 + Fraction(1, 3) + Y ** 2 * 5)
+def test_vector_coefficients_round_trip(p, q):
+    field = PlanarField(p, q)
+    assume(not field.is_zero)
+    assert from_vector_coefficients(*vector_coefficients(field)) == field
 
 
 def test_support_zero_field_rejected():
