@@ -5,8 +5,9 @@ supp(X) + (first quadrant).  Vertices are listed along the chain starting
 next to the y-axis: x strictly increases, y strictly decreases, and edge
 exponents t2/t1 strictly increase.  Each edge carries the splitting
 (h, mu) of the quasi-homogeneous restriction of the field to the edge's
-supporting line; the h of the two edges meeting at an inner vertex define
-the vertex invariant beta.
+supporting line, read by field.split_line from the diagram's one
+vector-coefficient map; the h of the two edges meeting at an inner vertex
+define the vertex invariant beta.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .polycore import BivarPoly, QuasiType, quasi_type
-from .field import PlanarField, SplitField, split, vector_coefficients
+from .field import PlanarField, SplitField, SupportMap, split_line, vector_coefficients
 # Not called here: tracers wrap the name monodroma.diagram.support (bench/spans.py).
 from .field import support  # noqa: F401
 
@@ -118,19 +119,14 @@ class NewtonDiagram:
         return dict(self.inner_betas)
 
 
-def edge_hamiltonian(x_field: PlanarField, t: QuasiType, line_value: int) -> SplitField:
-    """Split the restriction of the field to the line t1*x + t2*y = line_value.
-
-    Errors when the line misses the support of the field.
-    """
+def edge_hamiltonian(coeffs: SupportMap, den: int, t: QuasiType, line_value: int) -> SplitField:
+    """Split the field on the line t1*x + t2*y = line_value from the diagram's one
+    vector_coefficients map (coeffs, den); error when the line misses the support."""
     t1, t2 = quasi_type(*t)
-    k = line_value - t1 - t2
-    component = PlanarField(x_field.p.quasi_part((t1, t2), k + t1),
-                            x_field.q.quasi_part((t1, t2), k + t2))
-    if component.is_zero:
-        raise ValueError(
-            f"line {t1}*x + {t2}*y = {line_value} misses the support of the field")
-    return split(component, k, (t1, t2))
+    piece = split_line(coeffs, den, (t1, t2), line_value)
+    if piece is None:
+        raise ValueError(f"line {t1}*x + {t2}*y = {line_value} misses the support of the field")
+    return piece
 
 
 def _edge_type(a: tuple[int, int], b: tuple[int, int]) -> QuasiType:
@@ -155,7 +151,7 @@ def build_diagram(x_field: PlanarField) -> NewtonDiagram:
 
     def edge(t: QuasiType, ends: tuple[Vertex, ...]) -> Edge:
         line_value = t[0] * ends[0].point[0] + t[1] * ends[0].point[1]
-        piece = edge_hamiltonian(x_field, t, line_value)
+        piece = edge_hamiltonian(coeffs, den, t, line_value)
         return Edge(t, len(ends) == 2, ends, line_value, piece.k, piece.h, piece.mu)
 
     bounded = [edge(_edge_type(va.point, vb.point), (va, vb))

@@ -12,7 +12,8 @@ from_vector_coefficients, its inverse, builds a field from it.  A field that
 is quasi-homogeneous of type t and degree k splits uniquely into the
 Hamiltonian field of h plus mu * (t1*x, t2*y), point by point: with
 w = k + t1 + t2, h gets (t1*b - t2*a)/w at x^x y^y and mu gets (x*a + y*b)/w
-at x^(x-1) y^(y-1).  Edge Hamiltonians of the Newton diagram are this split.
+at x^(x-1) y^(y-1).  split_line is this formula on the points of one line
+t1*x + t2*y = w of a support map; the Newton diagram splits each edge with it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class PlanarField:
 
 
 ZERO_FIELD = PlanarField(BivarPoly.zero(), BivarPoly.zero())
+# {(x, y): (a, b)} integer numerators over one denominator, as vector_coefficients returns.
+SupportMap = Mapping[tuple[int, int], Sequence[int]]
 
 
 def hamiltonian_field(f: BivarPoly, g: BivarPoly) -> PlanarField:
@@ -81,7 +84,7 @@ def vector_coefficients(x_field: PlanarField) -> tuple[dict[tuple[int, int], lis
     return coeffs, den
 
 
-def from_vector_coefficients(coeffs: Mapping[tuple[int, int], Sequence[int]], den: int) -> PlanarField:
+def from_vector_coefficients(coeffs: SupportMap, den: int) -> PlanarField:
     """The inverse of vector_coefficients: a goes to p at (x, y - 1) and b to q at
     (x - 1, y), each over den > 0; zero entries are dropped."""
     p = {(x, y - 1): a for (x, y), (a, _) in coeffs.items() if a}
@@ -123,11 +126,9 @@ class SplitField:
 
 
 def split(x_field: PlanarField, k: int, t: QuasiType) -> SplitField:
-    """Split a field that is quasi-homogeneous of type t and degree k: with
-    w = k + t1 + t2, each support point (x, y) with vector coefficient (a, b)
-    gives (t1*b - t2*a)/w to h at x^x y^y and (x*a + y*b)/w to mu at
-    x^(x-1) y^(y-1).  The zero field splits into zeros.  Errors when w = 0 or
-    when the field is not quasi-homogeneous of that type and degree."""
+    """Split a field that is quasi-homogeneous of type t and degree k by
+    split_line on w = k + t1 + t2; the zero field splits into zeros.  Errors
+    when w = 0 or when the field is not quasi-homogeneous of that type and degree."""
     t1, t2 = quasi_type(*t)
     weight = k + t1 + t2
     if weight == 0:
@@ -137,10 +138,23 @@ def split(x_field: PlanarField, k: int, t: QuasiType) -> SplitField:
     coeffs, den = vector_coefficients(x_field)
     if any(t1 * x + t2 * y != weight for x, y in coeffs):
         raise ValueError(f"field is not quasi-homogeneous of type {t} and degree {k}")
-    h = {(x, y): t1 * b - t2 * a for (x, y), (a, b) in coeffs.items()}
-    mu = {(x - 1, y - 1): x * a + y * b for (x, y), (a, b) in coeffs.items() if x * a + y * b}
-    return SplitField(k, (t1, t2), BivarPoly.from_numerators(h, den * weight),
-                      BivarPoly.from_numerators(mu, den * weight))
+    return split_line(coeffs, den, (t1, t2), weight)
+
+
+def split_line(coeffs: SupportMap, den: int, t: QuasiType, w: int) -> Optional[SplitField]:
+    """The per-point split of the module docstring, over den*w, of the points of a
+    support map on the line t1*x + t2*y = w, all others ignored.  None when no
+    point lies on the line; error when w = 0."""
+    t1, t2 = t
+    on_line = [(x, y, a, b) for (x, y), (a, b) in coeffs.items() if t1 * x + t2 * y == w]
+    if not on_line:
+        return None
+    if w == 0:
+        raise ValueError("splitting is undefined when k + t1 + t2 = 0")
+    h = {(x, y): t1 * b - t2 * a for x, y, a, b in on_line}
+    mu = {(x - 1, y - 1): x * a + y * b for x, y, a, b in on_line if x * a + y * b}
+    return SplitField(w - t1 - t2, t, BivarPoly.from_numerators(h, den * w),
+                      BivarPoly.from_numerators(mu, den * w))
 
 
 def leading_forms(x_field: PlanarField) -> tuple[BivarPoly, BivarPoly]:

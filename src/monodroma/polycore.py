@@ -232,13 +232,6 @@ class BivarPoly:
             buckets.setdefault(t1 * i + t2 * j, {})[(i, j)] = n
         return [(k, _normalise(buckets[k], self._den)) for k in sorted(buckets)]
 
-    def quasi_part(self, t: "QuasiType", degree: int) -> "BivarPoly":
-        """The quasi-homogeneous part of type t and the given quasi-degree;
-        zero when no term has that quasi-degree."""
-        t1, t2 = quasi_type(*t)
-        return _normalise({(i, j): n for (i, j), n in self._num.items() if t1 * i + t2 * j == degree},
-                          self._den)
-
     def homogeneous_components(self) -> list[tuple[int, "BivarPoly"]]:
         return self.quasi_components((1, 1))
 

@@ -415,17 +415,11 @@ def dehomogenize(h: BivarPoly, t: QuasiType) -> UniPoly:
         raise ZeroPolynomialError("factor test on the zero polynomial")
     degree = h.quasi_degree(t)
     a, b = h.min_exponents()
-    span = degree - t1 * a - t2 * b
-    if span % (t1 * t2) != 0:
-        raise ValueError(f"support of h is not of type {(t1, t2)}")
-    m_top = span // (t1 * t2)
+    m_top = (degree - t1 * a - t2 * b) // (t1 * t2)
     coeffs = [0] * (m_top + 1)
     num, _ = h.numerators()  # a UniPoly is defined up to a positive factor
-    for (i, j), c in num.items():
-        step, rem = divmod(i - a, t2)
-        if rem:
-            raise ValueError(f"support of h is not of type {(t1, t2)}")
-        coeffs[m_top - step] = c
+    for (i, _), c in num.items():
+        coeffs[m_top - (i - a) // t2] = c
     return UniPoly(coeffs)
 
 

@@ -3,19 +3,24 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monodroma import (
     BivarPoly,
     PlanarField,
+    SplitField,
     build_diagram,
     edge_hamiltonian,
     hamiltonian_field,
     inner_beta,
     newton_chain,
+    split,
     support,
 )
+from monodroma.field import vector_coefficients
 from monodroma.oracle import brute_force_diagram
 
 from genmaps import example1_map, lattice_on_line, rand_quasi_field, rand_type
@@ -189,8 +194,53 @@ def test_no_rays_when_chain_touches_axes():
 def test_edge_hamiltonian_error_when_line_misses_support():
     field = PlanarField(-Y, X)
     with pytest.raises(ValueError) as err:
-        edge_hamiltonian(field, (1, 1), 7)
+        edge_hamiltonian(*vector_coefficients(field), (1, 1), 7)
     assert "misses the support" in str(err.value)
+
+
+_polys = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                        max_size=5).map(BivarPoly)
+_types = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda t: gcd(*t) == 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_polys, _polys, _types)
+# Support points (0, 2) and (2, 0) on the axes: the rays meet them at w = 0.
+@example(-Y, X, (1, 0))
+@example(-Y, X, (0, 1))
+@example(Y ** 3 - 2 + X * Y, X ** 2 + Fraction(1, 3) + Y ** 2 * 5, (1, 1))
+def test_edge_hamiltonian_splits_the_restricted_field(p, q, t):
+    """On every line t1*x + t2*y = w, hit or missed, the split read from the
+    support map equals the split of the field restricted the old way: P's
+    terms of quasi-degree w - t2 and Q's of quasi-degree w - t1."""
+    field = PlanarField(p, q)
+    assume(not field.is_zero)
+    t1, t2 = t
+    coeffs, den = vector_coefficients(field)
+    top = max(t1 * x + t2 * y for x, y in coeffs)
+    real = BivarPoly.from_numerators
+
+    def positive_den_only(num, den):
+        assert den > 0, f"from_numerators reached with denominator {den}"
+        return real(num, den)
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except ValueError as err:
+            return str(err)
+
+    with mock.patch.object(BivarPoly, "from_numerators", staticmethod(positive_den_only)):
+        for w in range(-2, top + 3):
+            part = PlanarField(
+                BivarPoly({(i, j): c for (i, j), c in p.terms() if t1 * i + t2 * j == w - t2}),
+                BivarPoly({(i, j): c for (i, j), c in q.terms() if t1 * i + t2 * j == w - t1}))
+            want = (f"line {t1}*x + {t2}*y = {w} misses the support of the field" if part.is_zero
+                    else outcome(split, part, w - t1 - t2, t))
+            got = outcome(edge_hamiltonian, coeffs, den, t, w)
+            rebuilt = got.reconstruct() if isinstance(got, SplitField) else part
+            assert (got, rebuilt) == (want, part)
 
 
 def test_inner_beta_errors():

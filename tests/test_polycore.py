@@ -283,8 +283,7 @@ def test_every_operation_stores_the_canonical_form_of_the_fraction_result(a, b, 
     assert [d for d, _ in comps] == sorted({degree(key) for key in va})
     for d, part in comps:
         want = {key: v for key, v in va.items() if degree(key) == d}
-        cases += [(part, want), (a.quasi_part(t, d), want)]
-    cases.append((a.quasi_part(t, -1), {}))
+        cases.append((part, want))
     num, den = a.numerators()
     cases.append((BivarPoly.from_numerators({key: 6 * m for key, m in num.items()}, 6 * den), va))
     for poly, want in cases:
