@@ -4,148 +4,45 @@ The pipeline: from a map F = (f, g) with nonvanishing Jacobian determinant,
 build the Hamiltonian field of (f^2 + g^2) / 2, compactify it, and test a
 combinatorial monodromy condition on its Newton diagram.  When the origin of
 the compactified field is monodromic, F is globally injective.
+
+The package root exports the pipeline and its errors; every helper stays in
+its module (``monodroma.realroots``, ``monodroma.diagram``, ...).
 """
 
-from .polycore import (
-    BivarPoly,
-    ExponentOverflowError,
-    Monomial,
-    Scalar,
-    X,
-    Y,
-    ZeroPolynomialError,
-    quasi_type,
-)
+from .polycore import BivarPoly, ExponentOverflowError, ZeroPolynomialError
 from .parser import ParseError, parse_bindings, parse_map, parse_poly
-from .field import (
-    CommonLinearFactor,
-    PlanarField,
-    SplitField,
-    SupportPoint,
-    ZERO_FIELD,
-    common_real_linear_factors,
-    hamiltonian_field,
-    leading_forms,
-    real_linear_factor_exists,
-    split,
-    support,
-)
+from .field import PlanarField, hamiltonian_field, support
 from .bendixson import DegenerateTransformError, compactify, compactify_lower
-from .diagram import (
-    Edge,
-    NewtonDiagram,
-    Vertex,
-    build_diagram,
-    edge_hamiltonian,
-    inner_beta,
-    newton_chain,
-)
-from .realroots import (
-    FactorTest,
-    FactorWitness,
-    UniPoly,
-    cauchy_bound,
-    dehomogenize,
-    nonzero_real_roots,
-    poly_gcd,
-    quasi_factor_test,
-    squarefree_part,
-    sturm_chain,
-    sturm_count,
-)
-from .monodromy import (
-    INCONCLUSIVE as MONODROMY_INCONCLUSIVE,
-    MONODROMIC,
-    NOT_MONODROMIC,
-    ConditionReport,
-    MonodromyVerdict,
-    check_monodromic,
-)
-from .pipeline import (
-    ASSUMED,
-    Certificate,
-    DetStatus,
-    INCONCLUSIVE,
-    INJECTIVE,
-    NOT_APPLICABLE,
-    PROVED,
-    SCHEMA_VERSION,
-    UNKNOWN,
-    VANISHES,
-    certify,
-    cima_condition,
-    det_nonvanishing_heuristic,
-    jacobian_det,
-)
+from .diagram import build_diagram
+from .realroots import quasi_factor_test
+from .monodromy import check_monodromic
+from .pipeline import Certificate, certify, cima_condition, det_nonvanishing_heuristic, jacobian_det
 from .render import render_ascii, render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASSUMED",
     "BivarPoly",
     "Certificate",
-    "CommonLinearFactor",
-    "ConditionReport",
     "DegenerateTransformError",
-    "DetStatus",
-    "Edge",
     "ExponentOverflowError",
-    "FactorTest",
-    "FactorWitness",
-    "INCONCLUSIVE",
-    "INJECTIVE",
-    "MONODROMIC",
-    "MONODROMY_INCONCLUSIVE",
-    "Monomial",
-    "MonodromyVerdict",
-    "NOT_APPLICABLE",
-    "NOT_MONODROMIC",
-    "NewtonDiagram",
-    "PROVED",
     "ParseError",
     "PlanarField",
-    "SCHEMA_VERSION",
-    "Scalar",
-    "SplitField",
-    "SupportPoint",
-    "UNKNOWN",
-    "UniPoly",
-    "VANISHES",
-    "Vertex",
-    "X",
-    "Y",
-    "ZERO_FIELD",
     "ZeroPolynomialError",
     "build_diagram",
-    "cauchy_bound",
     "certify",
     "check_monodromic",
     "cima_condition",
-    "common_real_linear_factors",
     "compactify",
     "compactify_lower",
-    "dehomogenize",
     "det_nonvanishing_heuristic",
-    "edge_hamiltonian",
     "hamiltonian_field",
-    "inner_beta",
     "jacobian_det",
-    "leading_forms",
-    "newton_chain",
-    "nonzero_real_roots",
     "parse_bindings",
     "parse_map",
     "parse_poly",
-    "poly_gcd",
     "quasi_factor_test",
-    "quasi_type",
-    "real_linear_factor_exists",
     "render_ascii",
     "render_svg",
-    "split",
-    "squarefree_part",
-    "sturm_chain",
-    "sturm_count",
     "support",
 ]

@@ -112,12 +112,6 @@ class NewtonDiagram:
     def vertex_points(self) -> list[tuple[int, int]]:
         return [v.point for v in self.vertices]
 
-    def bounded_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e.bounded]
-
-    def betas(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.inner_betas)
-
 
 def edge_hamiltonian(coeffs: SupportMap, den: int, t: QuasiType, line_value: int) -> SplitField:
     """Split the field on the line t1*x + t2*y = line_value from the diagram's one

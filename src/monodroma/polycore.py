@@ -249,9 +249,6 @@ class BivarPoly:
             raise ValueError(f"polynomial is not quasi-homogeneous of type {t}")
         return comps[0][0]
 
-    def is_quasi_homogeneous(self, t: "QuasiType") -> bool:
-        return len(self.quasi_components(t)) <= 1
-
     # -- formatting ---------------------------------------------------------
 
     def to_string(self, variables: tuple[str, str] = ("x", "y")) -> str:

@@ -59,10 +59,6 @@ class UniPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UniPoly is immutable")
 
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs

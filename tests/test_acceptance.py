@@ -20,12 +20,8 @@ from genmaps import (
 )
 
 from monodroma import (
-    INJECTIVE,
-    MONODROMIC,
-    PROVED,
     BivarPoly,
     PlanarField,
-    UniPoly,
     build_diagram,
     certify,
     cima_condition,
@@ -33,12 +29,13 @@ from monodroma import (
     det_nonvanishing_heuristic,
     hamiltonian_field,
     jacobian_det,
-    newton_chain,
     parse_poly,
     quasi_factor_test,
-    squarefree_part,
-    sturm_count,
 )
+from monodroma.diagram import newton_chain
+from monodroma.monodromy import MONODROMIC
+from monodroma.pipeline import INJECTIVE, PROVED
+from monodroma.realroots import UniPoly, squarefree_part, sturm_count
 from monodroma.oracle import brute_force_diagram, diagonal_part, map_degree, numeric_root_count, winding
 
 U = BivarPoly.monomial(1, 0)

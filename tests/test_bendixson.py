@@ -16,9 +16,9 @@ from monodroma import (
     compactify,
     compactify_lower,
     hamiltonian_field,
-    newton_chain,
     support,
 )
+from monodroma.diagram import newton_chain
 from monodroma.field import support_points
 from monodroma.oracle import diagonal_part, map_degree, pair_component
 

@@ -8,19 +8,9 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from monodroma import (
-    BivarPoly,
-    PlanarField,
-    SplitField,
-    build_diagram,
-    edge_hamiltonian,
-    hamiltonian_field,
-    inner_beta,
-    newton_chain,
-    split,
-    support,
-)
-from monodroma.field import vector_coefficients
+from monodroma import BivarPoly, PlanarField, build_diagram, hamiltonian_field, support
+from monodroma.diagram import edge_hamiltonian, inner_beta, newton_chain
+from monodroma.field import SplitField, split, vector_coefficients
 from monodroma.oracle import brute_force_diagram
 
 from genmaps import example1_map, lattice_on_line, rand_quasi_field, rand_type
@@ -127,7 +117,7 @@ def test_fixture_vertices_edges_and_betas():
     assert dia.vertex_points() == [(0, 12), (6, 2), (8, 0)]
     kinds = {v.point: v.kind for v in dia.vertices}
     assert kinds == {(0, 12): "exterior", (6, 2): "inner", (8, 0): "exterior"}
-    bounded = dia.bounded_edges()
+    bounded = [e for e in dia.edges if e.bounded]
     assert [e.t for e in bounded] == [(5, 3), (1, 1)]
     assert [e.line_value for e in bounded] == [36, 8]
     u, v = X, Y
@@ -135,7 +125,7 @@ def test_fixture_vertices_edges_and_betas():
     expected_lower = (u ** 2 + v ** 2) * u ** 6 * Fraction(3, 8)
     assert bounded[0].h == expected_upper
     assert bounded[1].h == expected_lower
-    assert dia.betas() == {(6, 2): Fraction(1, 32)}
+    assert dict(dia.inner_betas) == {(6, 2): Fraction(1, 32)}
     assert dia.beta_undefined == ()
 
 
@@ -183,7 +173,7 @@ def test_unbounded_rays_added_off_axis():
     types = [e.t for e in dia.edges]
     assert types[0] == (1, 0) and not dia.edges[0].bounded
     assert types[-1] == (0, 1) and not dia.edges[-1].bounded
-    assert [e.t for e in dia.bounded_edges()] == [(1, 1)]
+    assert [e.t for e in dia.edges if e.bounded] == [(1, 1)]
 
 
 def test_no_rays_when_chain_touches_axes():

@@ -6,9 +6,6 @@ from fractions import Fraction
 import pytest
 
 from monodroma import (
-    MONODROMIC,
-    MONODROMY_INCONCLUSIVE,
-    NOT_MONODROMIC,
     BivarPoly,
     PlanarField,
     build_diagram,
@@ -16,6 +13,7 @@ from monodroma import (
     compactify,
     hamiltonian_field,
 )
+from monodroma.monodromy import INCONCLUSIVE as MONODROMY_INCONCLUSIVE, MONODROMIC, NOT_MONODROMIC
 from monodroma.oracle import sector_classification, winding
 
 from genmaps import example1_map
@@ -48,7 +46,7 @@ def test_radial_line_field_is_a_node():
     # X = ((x^2+y^2) x, (x^2+y^2) y): one edge with h = 0 and mu = x^2+y^2.
     field = PlanarField((U ** 2 + V ** 2) * U, (U ** 2 + V ** 2) * V)
     diagram = build_diagram(field)
-    edge = diagram.bounded_edges()[0]
+    edge = [e for e in diagram.edges if e.bounded][0]
     assert edge.h.is_zero
     assert edge.mu == U ** 2 + V ** 2
     verdict = check_monodromic(diagram)
@@ -66,7 +64,7 @@ def test_negative_beta_detects_parabolic_sector():
     field = PlanarField(V ** 5 + U ** 2 * V ** 3 * 3, U * V ** 4 * 4 + U ** 7)
     diagram = build_diagram(field)
     assert diagram.vertex_points() == [(0, 6), (2, 4), (8, 0)]
-    assert diagram.betas() == {(2, 4): Fraction(-1, 96)}
+    assert dict(diagram.inner_betas) == {(2, 4): Fraction(-1, 96)}
     verdict = check_monodromic(diagram)
     assert verdict.outcome == NOT_MONODROMIC
     assert "parabolic" in verdict.reason

@@ -8,15 +8,9 @@ from fractions import Fraction
 import pytest
 from genmaps import example1_map
 
-from monodroma import (
-    BivarPoly,
-    PlanarField,
-    UniPoly,
-    build_diagram,
-    compactify,
-    hamiltonian_field,
-    newton_chain,
-)
+from monodroma import BivarPoly, PlanarField, build_diagram, compactify, hamiltonian_field
+from monodroma.diagram import newton_chain
+from monodroma.realroots import UniPoly
 from monodroma.oracle import (
     brute_force_diagram,
     collision_search,
@@ -69,7 +63,7 @@ def test_numeric_root_count_examples():
 
 def test_numeric_root_count_rejects_zero():
     with pytest.raises(ValueError):
-        numeric_root_count(UniPoly.zero())
+        numeric_root_count(UniPoly())
 
 
 def test_numeric_root_count_handles_tight_pairs():

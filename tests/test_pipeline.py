@@ -30,17 +30,7 @@ from genmaps import (
 import monodroma
 from monodroma import cli
 from monodroma import (
-    ASSUMED,
-    INCONCLUSIVE,
-    INJECTIVE,
-    MONODROMIC,
-    MONODROMY_INCONCLUSIVE,
-    NOT_APPLICABLE,
-    PROVED,
-    UNKNOWN,
-    VANISHES,
     BivarPoly,
-    DetStatus,
     build_diagram,
     certify,
     cima_condition,
@@ -51,7 +41,18 @@ from monodroma import (
     jacobian_det,
     parse_poly,
 )
-from monodroma.pipeline import _SAMPLE_POINTS
+from monodroma.monodromy import INCONCLUSIVE as MONODROMY_INCONCLUSIVE, MONODROMIC
+from monodroma.pipeline import (
+    _SAMPLE_POINTS,
+    ASSUMED,
+    INCONCLUSIVE,
+    INJECTIVE,
+    NOT_APPLICABLE,
+    PROVED,
+    UNKNOWN,
+    VANISHES,
+    DetStatus,
+)
 
 X = BivarPoly.monomial(1, 0)
 Y = BivarPoly.monomial(0, 1)

@@ -7,15 +7,14 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monodroma import (
-    BivarPoly,
+from monodroma import BivarPoly, quasi_factor_test
+from monodroma.realroots import (
     FactorWitness,
     UniPoly,
     cauchy_bound,
     dehomogenize,
     nonzero_real_roots,
     poly_gcd,
-    quasi_factor_test,
     squarefree_part,
     sturm_chain,
     sturm_count,
