@@ -151,15 +151,14 @@ def _cmd_factor_test(args: argparse.Namespace) -> int:
         return 1
     h = parse_poly(args.poly, ("u", "v"))
     result = quasi_factor_test(h, t)
+    # Format every line before printing any, so an error prints nothing.
     if result.has_factor:
-        print(f"h has a factor v^{t[0]} - a*u^{t[1]} for:")
-        for w in result.witnesses:
-            if w.exact is not None:
-                print(f"  a = {w.exact}")
-            else:
-                print(f"  a in ({w.lo}, {w.hi})")
+        lines = [f"h has a factor v^{t[0]} - a*u^{t[1]} for:"]
+        lines += [f"  a = {w.exact}" if w.exact is not None else f"  a in ({w.lo}, {w.hi})"
+                  for w in result.witnesses]
     else:
-        print(f"h has no factor v^{t[0]} - a*u^{t[1]} with real nonzero a")
+        lines = [f"h has no factor v^{t[0]} - a*u^{t[1]} with real nonzero a"]
+    print("\n".join(lines))
     return 0
 
 

@@ -16,8 +16,10 @@ den > 0 is the rational num/den, and (1 : 0), (-1 : 0) stand for +inf and
 -inf, where the form is lc * (+-1)^n.  Witnesses are isolating rational
 intervals, with exact values whenever a root is rational: by the rational
 root theorem every rational root of the primitive square-free part is k/lc
-for an integer k, lc its leading coefficient, so bisecting the grid of those
-fractions with Sturm counts finds them all.
+for an integer k, lc its leading coefficient.  One Sturm bisection from
+half-grid ends, (2T + 1)/(2 lc) for an integer T, cuts only between those
+fractions, so every cut point has a variation count and every witness
+narrower than 1/lc holds at most one candidate, tested exactly.
 """
 
 from __future__ import annotations
@@ -263,83 +265,21 @@ class FactorWitness:
             raise ValueError("exact root outside its interval")
 
 
-def _grid_roots(chain: list[tuple[int, ...]], bound: Fraction) -> list[Fraction]:
-    """Every rational root of the square-free chain[0] in (-bound, bound), ascending.
-
-    By the rational root theorem each one is k/lc for an integer k, lc the
-    leading coefficient of the primitive chain[0].  Bisect the grid range
-    (-top/lc, top/lc], top = ceil(bound * lc), at grid points, where the
-    variation difference V(a) - V(b) counts the roots in (a, b], and drop
-    every piece it finds empty.  A piece one grid step wide, (k-1, k]/lc,
-    can hold a rational root only at its right end k/lc.
-    """
-    lc = abs(chain[0][-1])
-    top = ceil(bound * lc)
-    roots = []
-    stack = [(-top, top, _sturm_at(chain, -top, lc), _sturm_at(chain, top, lc))]
-    while stack:
-        a, b, at_a, at_b = stack.pop()
-        if at_a[1] == at_b[1]:
-            continue
-        if b - a == 1:
-            if at_b[0]:
-                roots.append(Fraction(b, lc))
-            continue
-        m = (a + b) // 2
-        at_m = _sturm_at(chain, m, lc)
-        stack.append((m, b, at_m, at_b))
-        stack.append((a, m, at_a, at_m))
-    return roots
-
-
-def _count_open(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> tuple[bool, int]:
-    """Whether lo or hi is a root of chain[0], and the roots of the
-    square-free chain[0] in (lo, hi) when neither is."""
-    lo_root, va = _sturm_at(chain, lo.numerator, lo.denominator)
-    hi_root, vb = _sturm_at(chain, hi.numerator, hi.denominator)
-    return lo_root or hi_root, va - vb
-
-
-def _shrink_around(chain: list[tuple[int, ...]], root: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval around a known exact root containing no other root of chain[0]."""
-    w = radius
-    while True:
-        end_root, n = _count_open(chain, root - w, root + w)
-        if not end_root and n == 1:
-            return root - w, root + w
-        w /= 2
-
-
-def _isolate_segment(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction,
-                     out: list[tuple[Fraction, Fraction, Optional[Fraction]]]) -> None:
-    """Isolate the roots of chain[0] inside (lo, hi), none of them rational.
-
-    With no rational root inside, no bisection point is a root.  An interval
-    with one root is kept only once neither end is zero, as witnesses must
-    exclude it.
-    """
-    stack = [(lo, hi)]
-    while stack:
-        a, b = stack.pop()
-        n = _count_open(chain, a, b)[1]
-        if n == 0:
-            continue
-        if n == 1 and a and b:
-            out.append((a, b, None))
-            continue
-        mid = (a + b) / 2
-        stack.append((a, mid))
-        stack.append((mid, b))
-
-
 def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     """Isolate every real root of p other than zero.
 
     Returns pairwise-disjoint open rational intervals sorted left to right,
-    one root each, none containing zero.  Rational roots come with their
-    exact value, found first by a Sturm bisection of the grid k/lc (lc the
-    leading coefficient of the primitive square-free part); the irrational
-    roots are then isolated by bisection in the gaps between them.
+    one root each, none containing zero, with the exact value of every
+    rational root.  One Sturm bisection does it.  With lc the leading
+    coefficient of the primitive square-free part, every rational root is
+    k/lc for an integer k, and every root lies in (-e, e) for the half-grid
+    point e = (2T + 1)/(2 lc), T = ceil(cauchy_bound * lc).  Bisecting
+    (-e, 0) and (0, e) cuts only at odd multiples of e/2^s, which are never
+    grid points and so never roots: the variation difference V(a) - V(b)
+    counts the roots of every open piece (a, b).  A piece with one root,
+    neither end at zero, and narrower than 1/lc holds at most one grid
+    point, k/lc with k = ceil(a * lc), and its root is that point exactly
+    when the point lies in the piece and is a root.
     """
     if p.is_zero:
         raise ZeroPolynomialError("roots of the zero polynomial")
@@ -352,32 +292,34 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     if ps.degree == 0:
         return []
     chain = sturm_chain(ps)
-    bound = cauchy_bound(ps)
+    lc = ps.coeffs[-1]
+    odd = 2 * ceil(cauchy_bound(ps) * lc) + 1  # e = odd / (2 lc)
 
-    found: list[tuple[Fraction, Fraction, Optional[Fraction]]] = []
-    rationals = _grid_roots(chain, bound)
-    for idx, root in enumerate(rationals):
-        radius = abs(root) / 2
-        if idx > 0:
-            radius = min(radius, (root - rationals[idx - 1]) / 4)
-        if idx + 1 < len(rationals):
-            radius = min(radius, (rationals[idx + 1] - root) / 4)
-        lo, hi = _shrink_around(chain, root, radius)
-        found.append((lo, hi, root))
+    def variations(j: int, s: int) -> int:
+        """Sign variations at the cut point j * e / 2^s."""
+        return _sturm_at(chain, j * odd, lc << (s + 1))[1]
 
-    # Gaps between the exact-root intervals, split at zero: every root left
-    # in them is irrational.
-    cuts = [-bound]
-    for lo, hi, _ in sorted(found):
-        cuts.extend((lo, hi))
-    cuts.append(bound)
-    for a, b in zip(cuts[::2], cuts[1::2]):
-        for seg_lo, seg_hi in ((a, min(b, Fraction(0))), (max(a, Fraction(0)), b)):
-            if seg_lo < seg_hi:
-                _isolate_segment(chain, seg_lo, seg_hi, found)
-
-    found.sort()
-    return [FactorWitness(lo, hi, 1 if lo > 0 else -1, exact) for lo, hi, exact in found]
+    # The piece (j, j + 1) * e / 2^s, with the variations at its ends.
+    at_zero = variations(0, 0)
+    stack = [(0, 0, at_zero, variations(1, 0)), (-1, 0, variations(-1, 0), at_zero)]
+    found = []
+    while stack:
+        j, s, va, vb = stack.pop()
+        if va == vb:
+            continue
+        scale = 2 << s  # e / 2^s = odd / (lc * scale), narrower than 1/lc when odd < scale
+        if va - vb == 1 and j not in (0, -1) and odd < scale:
+            k = -(-j * odd // scale)  # ceil(a * lc), so k/lc > a
+            exact = None
+            if k * scale < (j + 1) * odd and not _homogenized(chain[0], k, lc)[0]:  # k/lc < b
+                exact = Fraction(k, lc)
+            found.append(FactorWitness(Fraction(j * odd, lc * scale),
+                                       Fraction((j + 1) * odd, lc * scale), 1 if j > 0 else -1, exact))
+            continue
+        at_mid = variations(2 * j + 1, s + 1)
+        stack.append((2 * j + 1, s + 1, at_mid, vb))
+        stack.append((2 * j, s + 1, va, at_mid))
+    return found
 
 
 # -- the quasi-homogeneous factor test ---------------------------------------

@@ -212,6 +212,14 @@ def test_factor_test_reports_no_factor(capsys):
     assert "no factor" in capsys.readouterr().out
 
 
+def test_factor_test_prints_nothing_when_formatting_fails(capsys):
+    # The root 10^5000 has more digits than str(int) converts by default.
+    assert main(["factor-test", "v - 10^5000*u", "--type", "1,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_factor_test_rejects_bad_types(capsys):
     assert main(["factor-test", "u*v", "--type", "0,0"]) == 1
     assert "invalid --type" in capsys.readouterr().err

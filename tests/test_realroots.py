@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monodroma import BivarPoly, quasi_factor_test
 from monodroma.realroots import (
@@ -102,13 +102,14 @@ def test_nonzero_real_roots_irrational_witnesses():
         assert sturm_count(p, w.lo, w.hi) == 1
         # Interval contains sqrt(2) or -sqrt(2): the endpoint squares straddle 2.
         assert (w.lo * w.lo - 2) * (w.hi * w.hi - 2) < 0
-    # Bisection first isolates these roots in intervals ending at zero; the
-    # witnesses are the halves that leave zero out.
+    # The bisection starts from (-7/2, 0) and (0, 7/2): Cauchy bound 3, lc 1,
+    # so e = (2*3 + 1)/2.  Its first cut, 7/4, leaves sqrt(2) in a piece that
+    # ends at zero and is wider than 1/lc; the next, 7/8, isolates it.
     F = Fraction
-    assert [(w.lo, w.hi) for w in roots] == [(F(-3, 2), F(-3, 4)), (F(3, 4), F(3, 2))]
-    cubic = nonzero_real_roots(lam(1, -3, 0, 1))
+    assert [(w.lo, w.hi) for w in roots] == [(F(-7, 4), F(-7, 8)), (F(7, 8), F(7, 4))]
+    cubic = nonzero_real_roots(lam(1, -3, 0, 1))  # Cauchy bound 4: e = 9/2
     assert [(w.lo, w.hi, w.sign) for w in cubic] == [
-        (F(-2), F(-1), -1), (F(1, 4), F(1, 2), 1), (F(1), F(2), 1)]
+        (F(-9, 4), F(-27, 16), -1), (F(9, 32), F(9, 16), 1), (F(9, 8), F(27, 16), 1)]
 
 
 def test_nonzero_real_roots_disjoint_and_signed():
@@ -138,7 +139,7 @@ def test_nonzero_real_roots_close_pair_is_separated():
 
 
 def test_nonzero_real_roots_large_coefficients():
-    # A constant term of 10^15: the grid search still returns both exactly.
+    # A constant term of 10^15: the bisection still returns both exactly.
     big = 10 ** 15
     p = lam(-big, 1) * lam(1, 1)
     witnesses = nonzero_real_roots(p)
@@ -149,8 +150,8 @@ def test_nonzero_real_roots_large_coefficients():
 
 
 def test_nonzero_real_roots_exact_root_with_huge_coefficients():
-    # (3*10^13 x - 1)(x^2 - 2): no bisection midpoint hits 1/(3*10^13), so
-    # only a search over all candidate fractions k/lc finds it.
+    # (3*10^13 x - 1)(x^2 - 2): no bisection midpoint hits 1/(3*10^13); it is
+    # the one candidate fraction k/lc left in its witness, tested exactly.
     p = lam(2, -6 * 10 ** 13, -1, 3 * 10 ** 13)
     witnesses = nonzero_real_roots(p)
     assert [w.exact for w in witnesses] == [None, Fraction(1, 3 * 10 ** 13), None]
@@ -199,15 +200,32 @@ def _planted(roots, quadratics, zero_power, scale):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_planted_roots, _quadratics, _zero_powers, _scales)
+# x^2 + 100x - 1: an irrational root below 1/(2 lc), next to zero.
+@example([], [(1, 100, -1)], 0, 1)
+# (3*10^13 x - 1)(x^2 - 2): the root 1/lc.
+@example([Fraction(1, 3 * 10 ** 13)], [(1, 0, -2)], 0, 1)
+# x^2 - 1: Cauchy bound 2, so T = 2 and the roots are +-T/(2 lc), where a
+# bisection started from the grid points +-T/lc would make its first cuts.
+@example([1, -1], [], 0, 1)
+# (x - 2)(x^2 - 2): the first grid point above sqrt(2)'s witness, 2, is a
+# root but lies past the witness's right end.
+@example([2], [(1, 0, -2)], 0, 1)
 def test_nonzero_real_roots_returns_planted_rational_roots(roots, quadratics, zero_power, scale):
     p = _planted(roots, quadratics, zero_power, scale)
     witnesses = nonzero_real_roots(p)
     exact = [w.exact for w in witnesses if w.exact is not None]
     assert exact == sorted({r for r in roots if r})
+    # Every rational root is a grid point k/lc; no witness ends on one, and
+    # each is narrower than the grid step.
+    lc = squarefree_part(p).coeffs[-1]
     for w in witnesses:
         assert not (w.lo <= 0 <= w.hi)
         assert w.sign == (1 if w.lo > 0 else -1)
         assert sturm_count(p, w.lo, w.hi) == 1
+        assert w.hi - w.lo < Fraction(1, lc)
+        assert (w.lo * lc).denominator != 1 and (w.hi * lc).denominator != 1
+        inside = [r for r in roots if w.lo < r < w.hi]
+        assert w.exact == (inside[0] if inside else None)
     for left, right in zip(witnesses, witnesses[1:]):
         assert left.hi <= right.lo
 
@@ -246,6 +264,15 @@ def test_refine_witness_narrows_and_keeps_root():
         assert w.hi - w.lo <= prev / 2
         assert sturm_count(p, w.lo, w.hi) == 1
     assert w.lo * w.lo < 2 < w.hi * w.hi
+    # An exact root need not sit at the centre of its witness.
+    p = lam(-3, 2)
+    w, = nonzero_real_roots(p)
+    assert w.exact == Fraction(3, 2) and w.exact != (w.lo + w.hi) / 2
+    for _ in range(5):
+        prev = w.hi - w.lo
+        w = refine_witness(p, w)
+        assert w.hi - w.lo <= prev / 2
+        assert w.exact == Fraction(3, 2) and w.lo < w.exact < w.hi
 
 
 def test_factor_witness_validation():
