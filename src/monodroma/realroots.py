@@ -9,17 +9,25 @@ Every consumer reads only roots and signs, and neither changes when a
 polynomial is multiplied by a positive rational, so a polynomial is kept in
 one form: its primitive integer multiple (``UniPoly``).  One integer
 pseudo-division serves division, the gcd (primitive PRS, Collins 1967), the
-square-free part and the Sturm chain successor step.  Root counting is
-Sturm's method on those chains.  Every value and sign comes from one integer
-Horner loop on the homogenized form at a projective point (num : den):
-den > 0 is the rational num/den, and (1 : 0), (-1 : 0) stand for +inf and
--inf, where the form is lc * (+-1)^n.  Witnesses are isolating rational
-intervals, with exact values whenever a root is rational: by the rational
-root theorem every rational root of the primitive square-free part is k/lc
-for an integer k, lc its leading coefficient.  One Sturm bisection from
-half-grid ends, (2T + 1)/(2 lc) for an integer T, cuts only between those
-fractions, so every cut point has a variation count and every witness
-narrower than 1/lc holds at most one candidate, tested exactly.
+square-free part and the Sturm chain successor step.
+
+Root isolation first applies Descartes' rule of signs: a polynomial has at
+most as many positive roots, counted with multiplicity, as sign changes in
+its nonzero coefficients, so with no sign change in p(x) and none in p(-x)
+it has no nonzero real root, a proof from one sign read per coefficient.
+Every other isolation, and every root count, is Sturm's method on those
+chains; one sign-variation count serves Descartes and Sturm alike.
+
+Every value and sign comes from one integer Horner loop on the homogenized
+form at a projective point (num : den): den > 0 is the rational num/den, and
+(1 : 0), (-1 : 0) stand for +inf and -inf, where the form is lc * (+-1)^n.
+Witnesses are isolating rational intervals, with exact values whenever a
+root is rational: by the rational root theorem every rational root of the
+primitive square-free part is k/lc for an integer k, lc its leading
+coefficient.  One Sturm bisection from half-grid ends, (2T + 1)/(2 lc) for
+an integer T, cuts only between those fractions, so every cut point has a
+variation count and every witness narrower than 1/lc holds at most one
+candidate, tested exactly.
 """
 
 from __future__ import annotations
@@ -199,12 +207,17 @@ def _homogenized(coeffs: Sequence[int], num: int, den: int) -> tuple[int, int]:
     return acc, scale
 
 
+def _variations(values: Iterable[int]) -> int:
+    """Number of sign changes along values, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _sturm_at(chain: list[tuple[int, ...]], num: int, den: int) -> tuple[bool, int]:
     """Whether the projective point (num : den), den >= 0, is a root of
     chain[0], and the number of sign variations along the chain there."""
     values = [_homogenized(c, num, den)[0] for c in chain]
-    signs = [v > 0 for v in values if v]
-    return not values[0], sum(a != b for a, b in zip(signs, signs[1:]))
+    return not values[0], _variations(values)
 
 
 def sturm_count(p: UniPoly, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
@@ -270,21 +283,38 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
 
     Returns pairwise-disjoint open rational intervals sorted left to right,
     one root each, none containing zero, with the exact value of every
-    rational root.  One Sturm bisection does it.  With lc the leading
-    coefficient of the primitive square-free part, every rational root is
-    k/lc for an integer k, and every root lies in (-e, e) for the half-grid
-    point e = (2T + 1)/(2 lc), T = ceil(cauchy_bound * lc).  Bisecting
-    (-e, 0) and (0, e) cuts only at odd multiples of e/2^s, which are never
-    grid points and so never roots: the variation difference V(a) - V(b)
-    counts the roots of every open piece (a, b).  A piece with one root,
-    neither end at zero, and narrower than 1/lc holds at most one grid
-    point, k/lc with k = ceil(a * lc), and its root is that point exactly
-    when the point lies in the piece and is a root.
+    rational root.
+
+    Descartes' rule of signs answers first: p has at most as many positive
+    roots, counted with multiplicity, as sign changes in its nonzero
+    coefficients, and p(-x) likewise bounds the negative roots; a root at
+    zero is on neither side.  When neither shows a sign change there is no
+    nonzero real root, a proof read off one sign per coefficient; a nonzero
+    constant is such a p.  Every other p goes to one Sturm bisection
+    (``_sturm_roots``).
     """
     if p.is_zero:
         raise ZeroPolynomialError("roots of the zero polynomial")
-    if p.degree == 0:
+    cs = p.coeffs
+    if not _variations(cs) and not _variations(-c if i % 2 else c for i, c in enumerate(cs)):
         return []
+    return _sturm_roots(p)
+
+
+def _sturm_roots(p: UniPoly) -> list[FactorWitness]:
+    """``nonzero_real_roots`` of a nonzero p by one Sturm bisection alone.
+
+    With lc the leading coefficient of the primitive square-free part,
+    every rational root is k/lc for an integer k, and every root lies in
+    (-e, e) for the half-grid point e = (2T + 1)/(2 lc),
+    T = ceil(cauchy_bound * lc).  Bisecting (-e, 0) and (0, e) cuts only at
+    odd multiples of e/2^s, which are never grid points and so never roots:
+    the variation difference V(a) - V(b) counts the roots of every open
+    piece (a, b).  A piece with one root, neither end at zero, and narrower
+    than 1/lc holds at most one grid point, k/lc with k = ceil(a * lc), and
+    its root is that point exactly when the point lies in the piece and is
+    a root.
+    """
     ps = squarefree_part(p)
     k = next(i for i, c in enumerate(ps.coeffs) if c)
     if k:

@@ -3,11 +3,12 @@
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monodroma import BivarPoly, quasi_factor_test
+from monodroma import BivarPoly, quasi_factor_test, realroots
 from monodroma.realroots import (
     FactorWitness,
     UniPoly,
@@ -230,6 +231,39 @@ def test_nonzero_real_roots_returns_planted_rational_roots(roots, quadratics, ze
         assert left.hi <= right.lo
 
 
+def _sign_changes(cs):
+    """Descartes' bound: neighbouring nonzero coefficients of opposite sign."""
+    nonzero = [c for c in cs if c != 0]
+    return sum(a * b < 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+_planted_polys = st.builds(_planted, _planted_roots, _quadratics, _zero_powers, _scales)
+# scale * x^k * q(x^2), q with positive coefficients: no sign change in p(x)
+# or p(-x), the only forms the Descartes exit settles.
+_sign_free_polys = st.builds(
+    lambda q, k, scale: _planted([], [], k, scale) * lam(*[c for a in q for c in (a, 0)]),
+    st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=4), _zero_powers, _scales)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_planted_polys | _sign_free_polys)
+@example(lam(1, 1))                       # x + 1: a negative root only
+@example(lam(1, 0, 1))                    # x^2 + 1
+@example(lam(0, 0, 0, 1))                 # x^3: its one root is zero
+@example(lam(1, -2, 1))                   # (x - 1)^2: two sign changes, the exact root 1
+@example(lam(369793, 1065142, 851929))    # sign changes in p(-x), yet no real root
+def test_descartes_exit_agrees_with_sturm(p):
+    alternated = [-c if i % 2 else c for i, c in enumerate(p.coeffs)]
+    settled = not _sign_changes(p.coeffs) and not _sign_changes(alternated)
+    with mock.patch.object(realroots, "_sturm_roots", wraps=realroots._sturm_roots) as sturm:
+        witnesses = nonzero_real_roots(p)
+    assert sturm.called != settled
+    assert len(witnesses) == sturm_count(p, None, Fraction(0)) + sturm_count(p, Fraction(0), None)
+    assert witnesses == realroots._sturm_roots(p)
+    assert sturm_count(p, Fraction(0), None) <= _sign_changes(p.coeffs)
+    assert sturm_count(p, None, Fraction(0)) <= _sign_changes(alternated)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(_planted_roots, _quadratics, _zero_powers, _scales)
 def test_nonzero_real_root_count_matches_sympy(roots, quadratics, zero_power, scale):
@@ -418,6 +452,17 @@ def test_factor_test_worked_examples():
     result = quasi_factor_test(h, (1, 1))
     assert not result.has_factor
     assert result.witnesses == ()
+    assert result.lambda_poly == dehomogenize(h, (1, 1)) == UniPoly([1, 0, 1])
+
+    # v^6 + 5u^2 with type (3, 1): lambda^2 + 5 shows no sign change in g(x)
+    # or g(-x), so Descartes' rule settles it without a Sturm chain.
+    h = V ** 6 + U ** 2 * 5
+    with mock.patch.object(realroots, "sturm_chain", wraps=realroots.sturm_chain) as chain:
+        result = quasi_factor_test(h, (3, 1))
+    assert not chain.called
+    assert not result.has_factor
+    assert result.witnesses == ()
+    assert result.lambda_poly == dehomogenize(h, (3, 1)) == UniPoly([5, 0, 1])
 
     # v^2 - 4u^2 = (v - 2u)(v + 2u).
     result = quasi_factor_test(V ** 2 - U ** 2 * 4, (1, 1))
