@@ -25,6 +25,7 @@ A = 2d + 4 - max{x : (x, 0) in supp(X)}.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Optional
 
 from .polycore import Monomial, _check_exponent
@@ -100,12 +101,14 @@ def _compactified(x_field: PlanarField, lower: bool) -> PlanarField:
     for m, points in rotated.items():
         kept = [(x, y, a, b, s) for (x, y), (a, b) in points.items()
                 if (s := _kept_positions(hits, x, y, m))]
-        circle, w = [], 1
-        for s in range(max((s.stop for *_, s in kept), default=0)):
+        # The row C(m, s) from the first kept s: near an axis hit that is near m.
+        first = min((s.start for *_, s in kept), default=0)
+        circle, w = [], comb(m, first)
+        for s in range(first, max((s.stop for *_, s in kept), default=0)):
             circle.append((2 * s, 2 * (m - s), w))
             w = w * (m - s) // (s + 1)  # C(m, s + 1) = C(m, s) (m - s) / (s + 1)
         for x, y, a, b, s in kept:
-            for dx, dy, w in circle[s.start:s.stop]:
+            for dx, dy, w in circle[s.start - first:s.stop - first]:
                 acc = get(key := (x + dx, y + dy))
                 if acc is None:
                     out[key] = [a * w, b * w]

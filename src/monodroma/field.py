@@ -24,7 +24,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, quasi_type
-from .realroots import FactorWitness, UniPoly, dehomogenize, nonzero_real_roots, poly_gcd, squarefree_part, sturm_count
+from .realroots import FactorWitness, UniPoly, dehomogenize, nonzero_real_roots, poly_gcd, sturm_count
 
 
 @dataclass(frozen=True)
@@ -157,19 +157,6 @@ def split_line(coeffs: SupportMap, den: int, t: QuasiType, w: int) -> Optional[S
                       BivarPoly.from_numerators(mu, den * w))
 
 
-def leading_forms(x_field: PlanarField) -> tuple[BivarPoly, BivarPoly]:
-    """Top total-degree homogeneous parts of p and q, taken separately.
-
-    A zero component yields the zero polynomial; the zero field is an error.
-    """
-    if x_field.is_zero:
-        raise ZeroPolynomialError("leading forms of the zero field")
-    return (
-        x_field.p.leading_form() if not x_field.p.is_zero else BivarPoly.zero(),
-        x_field.q.leading_form() if not x_field.q.is_zero else BivarPoly.zero(),
-    )
-
-
 # -- common real linear factors of binary forms -------------------------------
 
 
@@ -187,26 +174,20 @@ class CommonLinearFactor:
     slope: Optional[Fraction] = None
     slope_interval: Optional[tuple[Fraction, Fraction]] = None
 
-    def label(self) -> str:
-        if self.kind in ("x", "y"):
-            return self.kind
-        if self.slope is not None:
-            return f"y - {self.slope}*x"
-        lo, hi = self.slope_interval
-        return f"y - a*x, a in ({lo}, {hi})"
 
-
-def _multiplicity(p: UniPoly, sf: UniPoly, w: FactorWitness) -> int:
-    """Multiplicity in p of the root of sf that w isolates: its first nonzero derivative."""
+def _multiplicity(p: UniPoly, common: UniPoly, w: FactorWitness) -> int:
+    """Multiplicity in p of the one distinct root of common that w isolates:
+    its first nonzero derivative."""
     mult = 0
     while (p(w.exact) == 0 if w.exact is not None
-           else sturm_count(poly_gcd(sf, p), w.lo, w.hi) > 0):
+           else sturm_count(poly_gcd(common, p), w.lo, w.hi) > 0):
         p, mult = p.derivative(), mult + 1
     return mult
 
 
 def common_real_linear_factors(a: BivarPoly, b: BivarPoly) -> list[CommonLinearFactor]:
-    """All real linear forms dividing both homogeneous polynomials.
+    """All real linear forms dividing both homogeneous polynomials; with
+    a = b, all real linear factors of a.
 
     Errors when either input is zero or not homogeneous.  Factors are
     returned as x, then y, then slope factors ordered by slope.
@@ -224,28 +205,11 @@ def common_real_linear_factors(a: BivarPoly, b: BivarPoly) -> list[CommonLinearF
     if ay and by:
         out.append(CommonLinearFactor("y", ay, by))
     pa, pb = dehomogenize(a, (1, 1)), dehomogenize(b, (1, 1))
-    if pa.degree == 0 or pb.degree == 0:
-        return out
     common = poly_gcd(pa, pb)
-    if common.degree == 0:
-        return out
-    sf = squarefree_part(common)
     for witness in nonzero_real_roots(common):
         out.append(CommonLinearFactor(
-            "slope", _multiplicity(pa, sf, witness), _multiplicity(pb, sf, witness),
+            "slope", _multiplicity(pa, common, witness), _multiplicity(pb, common, witness),
             slope=witness.exact,
             slope_interval=None if witness.exact is not None else (witness.lo, witness.hi),
         ))
     return out
-
-
-def real_linear_factor_exists(form: BivarPoly) -> bool:
-    """Whether a nonzero homogeneous polynomial has any real linear factor."""
-    if form.is_zero:
-        raise ZeroPolynomialError("factors of the zero polynomial")
-    if any(form.min_exponents()):
-        return True
-    p = dehomogenize(form, (1, 1))
-    if p.degree == 0:
-        return False
-    return sturm_count(p) > 0

@@ -26,10 +26,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .polycore import BivarPoly
-from .field import (
-    PlanarField, common_real_linear_factors, hamiltonian_field, leading_forms,
-    real_linear_factor_exists,
-)
+from .field import PlanarField, common_real_linear_factors, hamiltonian_field
 from .bendixson import compactify, compactify_lower
 from .diagram import NewtonDiagram, build_diagram
 from .monodromy import MONODROMIC, MonodromyVerdict, check_monodromic
@@ -180,14 +177,11 @@ def cima_condition(f: BivarPoly, g: BivarPoly) -> bool:
     """Whether the leading forms of the Hamiltonian field components share
     no real linear factor: the 2016 condition the criterion generalizes
     (J. Differential Equations 260, 5250-5258).  No verdict reads it.  A
-    zero component counts as divisible by every linear form, so only
-    real-factor-free partners survive it."""
-    lam_top, omg_top = leading_forms(hamiltonian_field(f, g))
-    if lam_top.is_zero:
-        return not real_linear_factor_exists(omg_top)
-    if omg_top.is_zero:
-        return not real_linear_factor_exists(lam_top)
-    return not common_real_linear_factors(lam_top, omg_top)
+    zero component is divisible by every linear form, so it takes its
+    partner's place, and only real-factor-free partners survive it."""
+    x_field = hamiltonian_field(f, g)
+    lam, omg = (c.leading_form() if c else c for c in (x_field.p, x_field.q))
+    return not common_real_linear_factors(lam or omg, omg or lam)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from monodroma import (
     PlanarField,
     ZeroPolynomialError,
     build_diagram,
+    certify,
     compactify,
     compactify_lower,
     hamiltonian_field,
@@ -270,3 +271,13 @@ def test_compactify_lower_sums_cancelling_contributions():
     assert _check_lower(field) == (5, 5)
     assert compactify(field).p.coeff(2, 2) == 0
     assert compactify_lower(field).p.coeff(2, 2) == 0
+
+
+@pytest.mark.parametrize("f, g", [(X + Y ** 60001, Y), (Y + X ** 60001, X)])
+def test_compactify_lower_skips_the_unkept_binomials(f, g):
+    # Only s near m is kept from the circle power m of x + y^60001's one far
+    # point, and only s near 0 from its transpose's: the row C(m, s) must
+    # start at the first kept s, or the first costs O(m^2) big-integer work.
+    cert = certify(f, g)
+    assert cert.verdict == "Inconclusive"
+    assert cert.timings_ms["compactify"] < 500

@@ -266,3 +266,29 @@ def test_axis_support_has_no_spurious_rays():
     dia = build_diagram(field)
     assert dia.vertex_points() == [(0, 2), (2, 0)]
     assert [e.bounded for e in dia.edges] == [True]
+
+
+# Pure-y terms of P and pure-x terms of Q, the ones that reach the axes.
+_y_terms = st.dictionaries(st.integers(0, 6).map(lambda j: (0, j)), st.integers(-3, 3),
+                           max_size=2).map(BivarPoly)
+_x_terms = st.dictionaries(st.integers(0, 6).map(lambda i: (i, 0)), st.integers(-3, 3),
+                           max_size=2).map(BivarPoly)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_polys, _polys, _y_terms, _x_terms)
+@example(-Y, X, BivarPoly.zero(), BivarPoly.zero())
+def test_two_exterior_vertices_have_the_shape_condition_b_reads(p, q, p_axis, q_axis):
+    # a comes from P at (x, y - 1) and b from Q at (x - 1, y): a support point
+    # on x = 0 holds (a, 0) and one on y = 0 holds (0, b), the origin is never
+    # one, and a support point's coefficient is nonzero.
+    field = PlanarField(p + p_axis, q + q_axis)
+    assume(not field.is_zero)
+    vertices = build_diagram(field).vertices
+    exterior = [v for v in vertices if v.kind == "exterior"]
+    assert len(exterior) <= 2
+    if len(exterior) == 2:
+        first, last = exterior
+        assert (first, last) == (vertices[0], vertices[-1])
+        assert first.point[0] == 0 and first.coeff[1] == 0 and first.coeff[0] != 0
+        assert last.point[1] == 0 and last.coeff[0] == 0 and last.coeff[1] != 0

@@ -11,8 +11,6 @@ from monodroma.field import (
     ZERO_FIELD,
     common_real_linear_factors,
     from_vector_coefficients,
-    leading_forms,
-    real_linear_factor_exists,
     split,
     vector_coefficients,
 )
@@ -166,16 +164,6 @@ def test_split_hamiltonian_piece_is_conservative():
         assert parts.h == h
 
 
-def test_leading_forms():
-    f = X ** 3 + Y
-    g = X * Y + 1
-    top_p, top_q = leading_forms(PlanarField(f, g))
-    assert top_p == X ** 3
-    assert top_q == X * Y
-    with pytest.raises(ZeroPolynomialError):
-        leading_forms(PlanarField(BivarPoly.zero(), BivarPoly.zero()))
-
-
 # -- common real linear factors ---------------------------------------------------
 
 
@@ -198,7 +186,6 @@ def test_common_factor_rational_slope():
     assert factor.kind == "slope"
     assert factor.slope == 2
     assert (factor.mult_a, factor.mult_b) == (2, 1)
-    assert factor.label() == "y - 2*x"
 
 
 def test_common_factor_irrational_slopes():
@@ -231,23 +218,27 @@ def test_common_factor_requires_homogeneous_nonzero():
 
 
 def test_real_linear_factor_exists():
-    assert real_linear_factor_exists(X * Y)
-    assert real_linear_factor_exists(Y ** 2 - X ** 2 * 3)
-    assert not real_linear_factor_exists(X ** 2 + Y ** 2)
-    assert not real_linear_factor_exists((X ** 2 + Y ** 2) * 5)
+    # The common factors of a form with itself are its real linear factors.
+    def exists(form):
+        return bool(common_real_linear_factors(form, form))
+
+    assert exists(X * Y)
+    assert exists(Y ** 2 - X ** 2 * 3)
+    assert not exists(X ** 2 + Y ** 2)
+    assert not exists((X ** 2 + Y ** 2) * 5)
 
 
 def test_example_families_leading_factor_shapes():
     # First family: common factor x with multiplicities (2m, >= 2m).
     f, g = example1_map([Fraction(1), Fraction(1)], [Fraction(1)])
     ham = hamiltonian_field(f, g)
-    omega_top, lambda_top = leading_forms(PlanarField(ham.q, -ham.p))
+    omega_top, lambda_top = ham.q.leading_form(), (-ham.p).leading_form()
     factors = common_real_linear_factors(omega_top, lambda_top)
     assert any(fac.kind == "x" and min(fac.mult_a, fac.mult_b) == 2 for fac in factors)
 
     # Second family: common factor y with multiplicity 2*m1 + 1 = 3.
     f, g = example2_map([Fraction(1), Fraction(1)], [Fraction(1)], [Fraction(1)], [Fraction(1)])
     ham = hamiltonian_field(f, g)
-    omega_top, lambda_top = leading_forms(PlanarField(ham.q, -ham.p))
+    omega_top, lambda_top = ham.q.leading_form(), (-ham.p).leading_form()
     factors = common_real_linear_factors(omega_top, lambda_top)
     assert any(fac.kind == "y" and min(fac.mult_a, fac.mult_b) == 3 for fac in factors)

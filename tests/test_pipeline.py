@@ -13,7 +13,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings, strategies as hst
+from hypothesis import assume, example, given, settings, strategies as hst
 from genmaps import (
     example1_map,
     example2_map,
@@ -41,6 +41,7 @@ from monodroma import (
     jacobian_det,
     parse_poly,
 )
+from monodroma.field import common_real_linear_factors
 from monodroma.monodromy import INCONCLUSIVE as MONODROMY_INCONCLUSIVE, MONODROMIC
 from monodroma.pipeline import (
     _SAMPLE_POINTS,
@@ -53,6 +54,7 @@ from monodroma.pipeline import (
     VANISHES,
     DetStatus,
 )
+from monodroma.realroots import dehomogenize, sturm_count
 
 X = BivarPoly.monomial(1, 0)
 Y = BivarPoly.monomial(0, 1)
@@ -271,6 +273,76 @@ def test_cima_condition_on_equal_odd_powers():
     for _ in range(20):
         f, g = odd_power_map(rng, equal_powers=True)
         assert cima_condition(f, g) is True
+
+
+def _reference_factor_exists(form: BivarPoly) -> bool:
+    """Whether a nonzero binary form has a real linear factor: an axis
+    exponent, or a real root of its dehomogenization by a Sturm count."""
+    if any(form.min_exponents()):
+        return True
+    p = dehomogenize(form, (1, 1))
+    return p.degree > 0 and sturm_count(p) > 0
+
+
+def _reference_cima(f: BivarPoly, g: BivarPoly) -> bool:
+    """cima_condition in three branches: a zero leading form defers to its
+    partner's own real linear factors, two nonzero ones to their common ones."""
+    x_field = hamiltonian_field(f, g)
+    if x_field.p.is_zero:
+        return not _reference_factor_exists(x_field.q.leading_form())
+    if x_field.q.is_zero:
+        return not _reference_factor_exists(x_field.p.leading_form())
+    return not common_real_linear_factors(x_field.p.leading_form(), x_field.q.leading_form())
+
+
+_small_coeffs = hst.integers(-3, 3)
+_small_polys = hst.dictionaries(
+    hst.tuples(hst.integers(0, 4), hst.integers(0, 4)).filter(lambda e: sum(e) <= 4),
+    _small_coeffs, max_size=5).map(BivarPoly)
+# Univariate in x or in y: f^2 + g^2 then depends on one variable, so P = 0 or Q = 0.
+_axis_maps = hst.builds(
+    lambda axis, a, b: tuple(BivarPoly({(k, 0)[::axis]: c for k, c in enumerate(cs)}) for cs in (a, b)),
+    hst.sampled_from([1, -1]), *[hst.lists(_small_coeffs, max_size=5)] * 2)
+# Univariate in s = x + c*y: the leading forms of P and Q are equal up to the factor -c.
+_line_maps = hst.builds(
+    lambda c, a, b: tuple(sum((k * (X + c * Y) ** i for i, k in enumerate(cs)), BivarPoly.zero())
+                          for cs in (a, b)),
+    hst.integers(-2, 2), *[hst.lists(_small_coeffs, max_size=4)] * 2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(hst.one_of(hst.tuples(_small_polys, _small_polys), _axis_maps, _line_maps))
+@example((X, X**2))  # P = 0
+@example((Y**3, Y))  # Q = 0
+@example((X + Y, X + Y))  # P = -Q
+@example((X, Y))
+def test_cima_condition_matches_the_three_branch_reference(fg):
+    # A zero component always gives False: f^2 + g^2 is then nonnegative,
+    # nonconstant and in one variable, so of even degree >= 2, and the other
+    # component, half its derivative, has a leading form c*x^k or c*y^k, k >= 1.
+    f, g = fg
+    x_field = hamiltonian_field(f, g)
+    assume(not x_field.is_zero)
+    expected = _reference_cima(f, g)
+    assert cima_condition(f, g) is expected
+    if x_field.p.is_zero or x_field.q.is_zero:
+        assert expected is False
+
+
+_small_forms = hst.builds(
+    lambda d, cs: BivarPoly({(i, d - i): c for i, c in zip(range(d + 1), cs)}),
+    hst.integers(0, 5), hst.lists(_small_coeffs, min_size=6, max_size=6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_small_forms)
+@example(X * Y)
+@example(Y**2 - 3 * X**2)
+@example(X**2 + Y**2)
+@example((Y - 2 * X) ** 2 * (X**2 + Y**2))
+def test_common_factors_of_a_form_with_itself_match_the_sturm_reference(form):
+    assume(not form.is_zero)
+    assert bool(common_real_linear_factors(form, form)) is _reference_factor_exists(form)
 
 
 # -- certify: degenerate inputs --------------------------------------------------
