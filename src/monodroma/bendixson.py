@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional
 
-from .polycore import Monomial, _check_exponent
+from .polycore import MAX_EXPONENT, Monomial, _check_exponent
 from .field import PlanarField, ZERO_FIELD, from_vector_coefficients, vector_coefficients
 
 
@@ -76,43 +76,60 @@ def _compactified(x_field: PlanarField, lower: bool) -> PlanarField:
     """compactify, or compactify_lower when lower is set: one loop for both."""
     if x_field.is_zero:
         return ZERO_FIELD
-    d = x_field.degree()
+    terms = [key for c in (x_field.p, x_field.q) for key in c.numerators()[0]]
+    d = max(i + j for i, j in terms)
     if d == 0:
         raise DegenerateTransformError(
             "cannot compactify a nonzero constant field (degree 0)")
     # The largest exponent formed: a term of degree k gains 2(d - k) from
-    # the circle power and at most 2 from its multiplier.
-    _check_exponent(max(max(i, j) + 2 * (d - i - j)
-                        for c in (x_field.p, x_field.q) for i, j in c.numerators()[0]) + 2)
+    # the circle power and at most 2 from its multiplier, so at most 2d + 2.
+    if 2 * d + 2 > MAX_EXPONENT:
+        _check_exponent(max(max(i, j) - 2 * (i + j) for i, j in terms) + 2 * d + 2)
     coeffs, den = vector_coefficients(x_field)
     x_max = max((x for x, y in coeffs if y == 0), default=None)
     y_max = max((y for x, y in coeffs if x == 0), default=None)
     hits = (2 * d + 4 - x_max, 2 * d + 4 - y_max) if lower and None not in (x_max, y_max) else None
-    # The rotated points, grouped by the circle power m of their source.
-    rotated: dict[int, dict[Monomial, list[int]]] = {}
+    # Rotate, filter and sum in one pass: each rotated point holds [a, b, m, kept s],
+    # or None when no s is kept; spans[m] covers the kept s of circle power m.
+    # The two rotated points of (x, y) reach (x + 2s, y + 2(m + 1 - s)) for
+    # s = 0..m + 1 between them, so a point none of whose s is kept is skipped.
+    rotated: dict[Monomial, Optional[list]] = {}
+    spans: dict[int, list[int]] = {}
     for (x, y), (a, b) in coeffs.items():
-        points = rotated.setdefault(d + 1 - x - y, {})
+        m = d + 1 - x - y
+        if hits is not None and not _kept_positions(hits, x, y, m + 1):
+            continue
         for key, da, db in (((x, y + 2), a - 2 * b, -b), ((x + 2, y), -a, b - 2 * a)):
-            acc = points.setdefault(key, [0, 0])
-            acc[0] += da
-            acc[1] += db
-    out: dict[Monomial, list[int]] = {}
-    get = out.get
-    for m, points in rotated.items():
-        kept = [(x, y, a, b, s) for (x, y), (a, b) in points.items()
-                if (s := _kept_positions(hits, x, y, m))]
-        # The row C(m, s) from the first kept s: near an axis hit that is near m.
-        first = min((s.start for *_, s in kept), default=0)
+            if key not in rotated:
+                kept = _kept_positions(hits, *key, m)
+                rotated[key] = [0, 0, m, kept] if kept else None
+                if kept:
+                    span = spans.setdefault(m, [kept.start, kept.stop])
+                    span[0], span[1] = min(span[0], kept.start), max(span[1], kept.stop)
+            acc = rotated[key]
+            if acc is not None:
+                acc[0] += da
+                acc[1] += db
+    # The row C(m, s) from the first kept s: near an axis hit that is near m.
+    circles: dict[int, tuple[int, list[tuple[int, int, int]]]] = {}
+    for m, (first, stop) in spans.items():
         circle, w = [], comb(m, first)
-        for s in range(first, max((s.stop for *_, s in kept), default=0)):
+        for s in range(first, stop):
             circle.append((2 * s, 2 * (m - s), w))
             w = w * (m - s) // (s + 1)  # C(m, s + 1) = C(m, s) (m - s) / (s + 1)
-        for x, y, a, b, s in kept:
-            for dx, dy, w in circle[s.start - first:s.stop - first]:
-                acc = get(key := (x + dx, y + dy))
-                if acc is None:
-                    out[key] = [a * w, b * w]
-                else:
-                    acc[0] += a * w
-                    acc[1] += b * w
+        circles[m] = first, circle
+    out: dict[Monomial, list[int]] = {}
+    get = out.get
+    for (x, y), point in rotated.items():
+        if point is None:
+            continue
+        a, b, m, s = point
+        first, circle = circles[m]
+        for dx, dy, w in circle[s.start - first:s.stop - first]:
+            acc = get(key := (x + dx, y + dy))
+            if acc is None:
+                out[key] = [a * w, b * w]
+            else:
+                acc[0] += a * w
+                acc[1] += b * w
     return from_vector_coefficients(out, den)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, quasi_type
+from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, mul_numerators, quasi_type
 from .realroots import FactorWitness, UniPoly, dehomogenize, nonzero_real_roots, poly_gcd, sturm_count
 
 
@@ -55,10 +55,23 @@ SupportMap = Mapping[tuple[int, int], Sequence[int]]
 
 
 def hamiltonian_field(f: BivarPoly, g: BivarPoly) -> PlanarField:
-    """Hamiltonian vector field of (f^2 + g^2)/2."""
+    """Hamiltonian vector field (-H_y, H_x) of H = (f^2 + g^2)/2.
+
+    In integers: over L = lcm(den f, den g), H is the sum of the squared
+    numerators over 2L^2, and each component is one derivative of that sum.
+    ExponentOverflowError when a square's exponent would pass MAX_EXPONENT."""
+    (nf, df), (ng, dg) = f.numerators(), g.numerators()
+    den = lcm(df, dg)
+    if df != dg:
+        nf = {key: n * (den // df) for key, n in nf.items()}
+        ng = {key: n * (den // dg) for key, n in ng.items()}
+    h = mul_numerators(nf, nf)
+    for key, n in mul_numerators(ng, ng).items():
+        h[key] = h.get(key, 0) + n
+    den = 2 * den * den
     return PlanarField(
-        -(f * f.partial(1) + g * g.partial(1)),
-        f * f.partial(0) + g * g.partial(0),
+        BivarPoly.from_numerators({(i, j - 1): -j * n for (i, j), n in h.items() if j}, den),
+        BivarPoly.from_numerators({(i - 1, j): i * n for (i, j), n in h.items() if i}, den),
     )
 
 

@@ -86,20 +86,15 @@ def check_monodromic(diagram: NewtonDiagram) -> MonodromyVerdict:
             tuple(str(v.point) for v in exterior),
         ))
     else:
-        on_y = next((v for v in exterior if v.point[0] == 0), None)
-        on_x = next((v for v in exterior if v.point[1] == 0), None)
-        if on_y is None or on_x is None or on_y.coeff[1] != 0 or on_x.coeff[0] != 0:
-            reports.append(ConditionReport(
-                "b", False, "exterior vertices do not have shape (a,0), (0,b)",
-                tuple(str(v.point) for v in exterior),
-            ))
-        else:
-            product = on_y.coeff[0] * on_x.coeff[1]
-            reports.append(ConditionReport(
-                "b", product < 0,
-                f"exterior coefficients a = {on_y.coeff[0]}, b = {on_x.coeff[1]}, "
-                f"a*b = {product} {'<' if product < 0 else '>='} 0",
-            ))
+        # Two exterior vertices are the first, on x = 0 holding (a, 0), and
+        # the last, on y = 0 holding (0, b): a is from P and b from Q alone.
+        a, b = diagram.vertices[0].coeff[0], diagram.vertices[-1].coeff[1]
+        product = a * b
+        reports.append(ConditionReport(
+            "b", product < 0,
+            f"exterior coefficients a = {a}, b = {b}, "
+            f"a*b = {product} {'<' if product < 0 else '>='} 0",
+        ))
 
     for edge in diagram.edges:
         if edge.h.is_zero and not edge.mu.is_zero:

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional
+from typing import Mapping, Optional
 
-from .polycore import BivarPoly
+from .polycore import BivarPoly, Monomial, mul_numerators
 from .field import PlanarField, common_real_linear_factors, hamiltonian_field
 from .bendixson import compactify, compactify_lower
 from .diagram import NewtonDiagram, build_diagram
@@ -70,9 +70,20 @@ class DetStatus:
         return self.witness is not None
 
 
+def _partials(num: Mapping[Monomial, int]) -> tuple[dict[Monomial, int], dict[Monomial, int]]:
+    """The x and y partial derivatives of integer numerators, over the same denominator."""
+    return ({(i - 1, j): i * n for (i, j), n in num.items() if i},
+            {(i, j - 1): j * n for (i, j), n in num.items() if j})
+
+
 def jacobian_det(f: BivarPoly, g: BivarPoly) -> BivarPoly:
-    """det DF = f_x * g_y - f_y * g_x."""
-    return f.partial(0) * g.partial(1) - f.partial(1) * g.partial(0)
+    """det DF = f_x * g_y - f_y * g_x, in integers over den f * den g."""
+    (nf, df), (ng, dg) = f.numerators(), g.numerators()
+    (fx, fy), (gx, gy) = _partials(nf), _partials(ng)
+    det = mul_numerators(fx, gy)
+    for key, n in mul_numerators(fy, gx).items():
+        det[key] = det.get(key, 0) - n
+    return BivarPoly.from_numerators(det, df * dg)
 
 
 def _even_positive_method(det: BivarPoly) -> Optional[str]:

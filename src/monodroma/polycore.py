@@ -7,7 +7,7 @@ of them 1), so equality of values is equality of representations.  Every
 operation works on integers and ends in one normaliser; Fractions appear
 only where a coefficient or a value is handed out.  Products and powers run
 on two numerator kernels, mul_numerators and pow_numerators, which the
-parser calls too.  Exponents are non-negative machine integers.
+parser, hamiltonian_field and jacobian_det call too.  Exponents are non-negative machine integers.
 """
 
 from __future__ import annotations

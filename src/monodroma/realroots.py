@@ -42,10 +42,11 @@ from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, quasi_t
 
 def _primitive(cs: Sequence[Scalar]) -> tuple[int, ...]:
     """The positive rational multiple of cs with coprime integer entries."""
-    den = lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
+    if not all(type(c) is int for c in cs):
+        den = lcm(*(c.denominator for c in cs))
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*cs)
+    return tuple(cs) if g == 1 else tuple(v // g for v in cs)
 
 
 class UniPoly:
@@ -381,11 +382,14 @@ def dehomogenize(h: BivarPoly, t: QuasiType) -> UniPoly:
         raise ValueError(f"factor test needs positive weights, got {(t1, t2)}")
     if h.is_zero:
         raise ZeroPolynomialError("factor test on the zero polynomial")
-    degree = h.quasi_degree(t)
+    num, _ = h.numerators()  # a UniPoly is defined up to a positive factor
+    degrees = {t1 * i + t2 * j for i, j in num}
+    if len(degrees) != 1:
+        raise ValueError(f"polynomial is not quasi-homogeneous of type {t}")
+    degree, = degrees
     a, b = h.min_exponents()
     m_top = (degree - t1 * a - t2 * b) // (t1 * t2)
     coeffs = [0] * (m_top + 1)
-    num, _ = h.numerators()  # a UniPoly is defined up to a positive factor
     for (i, _), c in num.items():
         coeffs[m_top - (i - a) // t2] = c
     return UniPoly(coeffs)
