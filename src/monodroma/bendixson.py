@@ -29,7 +29,7 @@ from math import comb
 from typing import Optional
 
 from .polycore import MAX_EXPONENT, Monomial, _check_exponent
-from .field import PlanarField, ZERO_FIELD, from_vector_coefficients, vector_coefficients
+from .field import PlanarField, SupportMap, ZERO_FIELD, _field_from_support, vector_coefficients
 
 
 class DegenerateTransformError(ValueError):
@@ -47,14 +47,22 @@ def compactify(x_field: PlanarField) -> PlanarField:
     s = 0..m of its circle power m = d + 1 - x - y shifts both by
     (2s, 2(m - s)) with weight C(m, s).
     """
-    return _compactified(x_field, lower=False)
+    return _transformed(x_field, lower=False)
 
 
 def compactify_lower(x_field: PlanarField) -> PlanarField:
     """The terms of b(X) on or below the segment of the module docstring,
     with their full coefficients, or all of b(X) when an axis hit is
     missing.  Certificate.compactified keeps the full b(X), built lazily."""
-    return _compactified(x_field, lower=True)
+    return _transformed(x_field, lower=True)
+
+
+def _transformed(x_field: PlanarField, lower: bool) -> PlanarField:
+    """_compactified on the field's support map, back as a field."""
+    if x_field.is_zero:
+        return ZERO_FIELD
+    coeffs, den = vector_coefficients(x_field)
+    return _field_from_support(_compactified(coeffs, lower), den)
 
 
 def _kept_positions(hits: Optional[tuple[int, int]], x: int, y: int, m: int) -> range:
@@ -72,20 +80,23 @@ def _kept_positions(hits: Optional[tuple[int, int]], x: int, y: int, m: int) -> 
     return range(max(0, -(slack // -step)), m + 1)
 
 
-def _compactified(x_field: PlanarField, lower: bool) -> PlanarField:
-    """compactify, or compactify_lower when lower is set: one loop for both."""
-    if x_field.is_zero:
-        return ZERO_FIELD
-    terms = [key for c in (x_field.p, x_field.q) for key in c.numerators()[0]]
-    d = max(i + j for i, j in terms)
+def _compactified(coeffs: SupportMap, lower: bool) -> dict[Monomial, list[int]]:
+    """compactify, or compactify_lower when lower is set, on support maps: the
+    map of X, with no point holding (0, 0), in, that of b(X) out, over the
+    same denominator and unnormalised, points whose entries cancel to (0, 0)
+    dropped.  One loop for both; the map must not be empty."""
+    # A point (x, y) holds the terms of X at (x, y - 1) and (x - 1, y): degree x + y - 1.
+    d = max(x + y for x, y in coeffs) - 1
     if d == 0:
         raise DegenerateTransformError(
             "cannot compactify a nonzero constant field (degree 0)")
     # The largest exponent formed: a term of degree k gains 2(d - k) from
     # the circle power and at most 2 from its multiplier, so at most 2d + 2.
+    # The terms at (x, y), of degree x + y - 1, reach the x exponent x when
+    # a != 0 and x - 1 otherwise, and the y exponent y or y - 1 by b.
     if 2 * d + 2 > MAX_EXPONENT:
-        _check_exponent(max(max(i, j) - 2 * (i + j) for i, j in terms) + 2 * d + 2)
-    coeffs, den = vector_coefficients(x_field)
+        _check_exponent(max(max(x - (not a), y - (not b)) - 2 * (x + y)
+                            for (x, y), (a, b) in coeffs.items()) + 2 * d + 4)
     x_max = max((x for x, y in coeffs if y == 0), default=None)
     y_max = max((y for x, y in coeffs if x == 0), default=None)
     hits = (2 * d + 4 - x_max, 2 * d + 4 - y_max) if lower and None not in (x_max, y_max) else None
@@ -132,4 +143,4 @@ def _compactified(x_field: PlanarField, lower: bool) -> PlanarField:
             else:
                 acc[0] += a * w
                 acc[1] += b * w
-    return from_vector_coefficients(out, den)
+    return {key: ab for key, ab in out.items() if ab[0] or ab[1]}

@@ -138,7 +138,12 @@ def _highest_coeff(h: BivarPoly, axis: int) -> Fraction:
 
 def build_diagram(x_field: PlanarField) -> NewtonDiagram:
     """Newton diagram of a nonzero field, with edge splittings and betas."""
-    coeffs, den = vector_coefficients(x_field)
+    return _diagram(*vector_coefficients(x_field))
+
+
+def _diagram(coeffs: SupportMap, den: int) -> NewtonDiagram:
+    """build_diagram on a nonzero field's support map over den > 0, at any
+    scaling, with no point holding (0, 0)."""
     vertices = tuple(Vertex(pt, (Fraction(coeffs[pt][0], den), Fraction(coeffs[pt][1], den)),
                             "exterior" if 0 in pt else "inner")
                      for pt in newton_chain(coeffs))

@@ -8,7 +8,9 @@ field of (f^2 + g^2)/2 is
 Support points of a field are read off the shifted products y*P and x*Q, so
 each lattice point (x, y) carries a vector coefficient (a, b), a from P at
 (x, y-1) and b from Q at (x-1, y): vector_coefficients reads this map and
-from_vector_coefficients, its inverse, builds a field from it.  A field that
+_field_from_support, its inverse, builds a field from it.  For X that map is
+read straight off the energy H = (f^2 + g^2)/2: with h the integer numerators
+of H, the point (i, j) holds (-j*h_ij, i*h_ij).  A field that
 is quasi-homogeneous of type t and degree k splits uniquely into the
 Hamiltonian field of h plus mu * (t1*x, t2*y), point by point: with
 w = k + t1 + t2, h gets (t1*b - t2*a)/w at x^x y^y and mu gets (x*a + y*b)/w
@@ -23,7 +25,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .polycore import BivarPoly, QuasiType, Scalar, ZeroPolynomialError, mul_numerators, quasi_type
+from .polycore import (BivarPoly, Monomial, QuasiType, Scalar, ZeroPolynomialError, _normalise,
+                       _square_numerators, quasi_type)
 from .realroots import FactorWitness, UniPoly, dehomogenize, nonzero_real_roots, poly_gcd, sturm_count
 
 
@@ -55,24 +58,33 @@ SupportMap = Mapping[tuple[int, int], Sequence[int]]
 
 
 def hamiltonian_field(f: BivarPoly, g: BivarPoly) -> PlanarField:
-    """Hamiltonian vector field (-H_y, H_x) of H = (f^2 + g^2)/2.
+    """Hamiltonian vector field (-H_y, H_x) of H = (f^2 + g^2)/2, built from
+    _energy's numerators.  ExponentOverflowError when a square's exponent
+    would pass MAX_EXPONENT."""
+    h, den = _energy(f, g)
+    return _field_from_support(_energy_support(h), den)
 
-    In integers: over L = lcm(den f, den g), H is the sum of the squared
-    numerators over 2L^2, and each component is one derivative of that sum.
-    ExponentOverflowError when a square's exponent would pass MAX_EXPONENT."""
+
+def _energy(f: BivarPoly, g: BivarPoly) -> tuple[dict[Monomial, int], int]:
+    """(h, 2L^2): H = (f^2 + g^2)/2 as the sum h of the squared integer
+    numerators of f and g over L = lcm(den f, den g), unreduced: h may hold
+    zero entries where the squares cancel.  ExponentOverflowError when a
+    square's exponent would pass MAX_EXPONENT, f's square checked first."""
     (nf, df), (ng, dg) = f.numerators(), g.numerators()
     den = lcm(df, dg)
     if df != dg:
         nf = {key: n * (den // df) for key, n in nf.items()}
         ng = {key: n * (den // dg) for key, n in ng.items()}
-    h = mul_numerators(nf, nf)
-    for key, n in mul_numerators(ng, ng).items():
+    h = _square_numerators(nf)
+    for key, n in _square_numerators(ng).items():
         h[key] = h.get(key, 0) + n
-    den = 2 * den * den
-    return PlanarField(
-        BivarPoly.from_numerators({(i, j - 1): -j * n for (i, j), n in h.items() if j}, den),
-        BivarPoly.from_numerators({(i - 1, j): i * n for (i, j), n in h.items() if i}, den),
-    )
+    return h, 2 * den * den
+
+
+def _energy_support(h: Mapping[Monomial, int]) -> dict[tuple[int, int], list[int]]:
+    """The support map of X = (-H_y, H_x), over h's denominator: (-j*n, i*n)
+    at each point (i, j) where h holds n, both entries 0 left out."""
+    return {(i, j): [-j * n, i * n] for (i, j), n in h.items() if n and (i or j)}
 
 
 @dataclass(frozen=True)
@@ -97,12 +109,13 @@ def vector_coefficients(x_field: PlanarField) -> tuple[dict[tuple[int, int], lis
     return coeffs, den
 
 
-def from_vector_coefficients(coeffs: SupportMap, den: int) -> PlanarField:
+def _field_from_support(coeffs: SupportMap, den: int) -> PlanarField:
     """The inverse of vector_coefficients: a goes to p at (x, y - 1) and b to q at
-    (x - 1, y), each over den > 0; zero entries are dropped."""
+    (x - 1, y), each over den > 0; zero entries are dropped.  The exponents are
+    not scanned: the caller has kept them within MAX_EXPONENT."""
     p = {(x, y - 1): a for (x, y), (a, _) in coeffs.items() if a}
     q = {(x - 1, y): b for (x, y), (_, b) in coeffs.items() if b}
-    return PlanarField(BivarPoly.from_numerators(p, den), BivarPoly.from_numerators(q, den))
+    return PlanarField(_normalise(p, den), _normalise(q, den))
 
 
 def support(x_field: PlanarField) -> list[SupportPoint]:

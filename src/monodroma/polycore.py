@@ -5,9 +5,10 @@ is built on :class:`BivarPoly`, stored as integer numerators ``{(i, j): n}``
 over one positive denominator in lowest terms (no zero numerator, gcd of all
 of them 1), so equality of values is equality of representations.  Every
 operation works on integers and ends in one normaliser; Fractions appear
-only where a coefficient or a value is handed out.  Products and powers run
-on two numerator kernels, mul_numerators and pow_numerators, which the
-parser, hamiltonian_field and jacobian_det call too.  Exponents are non-negative machine integers.
+only where a coefficient or a value is handed out.  Products, squares and
+powers run on three numerator kernels, mul_numerators, _square_numerators
+and pow_numerators, which the parser, the energy (f^2 + g^2)/2 and
+jacobian_det call too.  Exponents are non-negative machine integers.
 """
 
 from __future__ import annotations
@@ -322,14 +323,39 @@ def mul_numerators(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict
     return acc
 
 
+def _square_numerators(a: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """mul_numerators(a, a), with the same exponent checks and messages, in
+    about half the products: each cross term of two distinct terms is formed
+    once and doubled."""
+    if not a:
+        return {}
+    if len(a) == 1:
+        ((i, j), c), = a.items()
+        return {(_check_exponent(i + i), _check_exponent(j + j)): c * c}
+    dx, dy = map(max, zip(*a))
+    _check_exponent(dx + dx)
+    _check_exponent(dy + dy)
+    items = list(a.items())
+    acc: dict[Monomial, int] = {}
+    get = acc.get
+    for k, ((i1, j1), c1) in enumerate(items):
+        key = (i1 + i1, j1 + j1)
+        acc[key] = get(key, 0) + c1 * c1
+        c1 += c1  # each cross term below stands for both of its orders
+        for (i2, j2), c2 in items[k + 1:]:
+            key = (i1 + i2, j1 + j2)
+            acc[key] = get(key, 0) + c1 * c2
+    return acc
+
+
 def pow_numerators(num: Mapping[Monomial, int], den: int,
                    n: int) -> tuple[dict[Monomial, int], int]:
     """(num/den)^n as unreduced numerators over den^n, for n >= 0; 0^0 is 1.
 
     A single term whose powered exponents stay within MAX_EXPONENT is raised
-    directly.  Anything else is squared repeatedly on mul_numerators, so an
-    overflow is raised by the first product of that squaring whose
-    exponents pass MAX_EXPONENT."""
+    directly.  Anything else is squared repeatedly on _square_numerators and
+    multiplied in on mul_numerators, so an overflow is raised by the first
+    product of that squaring whose exponents pass MAX_EXPONENT."""
     if len(num) == 1:
         ((i, j), c), = num.items()
         if i * n <= MAX_EXPONENT and j * n <= MAX_EXPONENT:
@@ -341,7 +367,7 @@ def pow_numerators(num: Mapping[Monomial, int], den: int,
             result, result_den = mul_numerators(result, num), result_den * den
         n >>= 1
         if n:
-            num, den = mul_numerators(num, num), den * den
+            num, den = _square_numerators(num), den * den
     return result, result_den
 
 

@@ -14,7 +14,8 @@ square-free part and the Sturm chain successor step.
 Root isolation first applies Descartes' rule of signs: a polynomial has at
 most as many positive roots, counted with multiplicity, as sign changes in
 its nonzero coefficients, so with no sign change in p(x) and none in p(-x)
-it has no nonzero real root, a proof from one sign read per coefficient.
+it has no nonzero real root, a proof from one sign read per coefficient;
+nor has a quadratic with a negative discriminant, one integer comparison.
 Every other isolation, and every root count, is Sturm's method on those
 chains; one sign-variation count serves Descartes and Sturm alike.
 
@@ -291,13 +292,16 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     coefficients, and p(-x) likewise bounds the negative roots; a root at
     zero is on neither side.  When neither shows a sign change there is no
     nonzero real root, a proof read off one sign per coefficient; a nonzero
-    constant is such a p.  Every other p goes to one Sturm bisection
-    (``_sturm_roots``).
+    constant is such a p.  A quadratic c0 + c1*x + c2*x^2 with a negative
+    discriminant, c1^2 < 4*c0*c2, has no real root either.  Every other p
+    goes to one Sturm bisection (``_sturm_roots``).
     """
     if p.is_zero:
         raise ZeroPolynomialError("roots of the zero polynomial")
     cs = p.coeffs
     if not _variations(cs) and not _variations(-c if i % 2 else c for i, c in enumerate(cs)):
+        return []
+    if len(cs) == 3 and cs[1] * cs[1] < 4 * cs[0] * cs[2]:
         return []
     return _sturm_roots(p)
 

@@ -53,6 +53,28 @@ def test_exponent_guard_refuses_before_building(transform):
     assert str(err.value) == "exponent 9223372036854775810 exceeds 4611686018427387904"
 
 
+_E = 2 ** 61
+
+
+@pytest.mark.parametrize("transform", [compactify, compactify_lower])
+@pytest.mark.parametrize("p, q", [
+    (X ** _E * Y, BivarPoly.const(1)),         # only a at (E, 2); only b at (1, 0)
+    (Y ** _E, X),                              # only a at (0, E + 1); only b at (2, 0)
+    (X ** _E + Y, X ** (_E - 1) * Y * 2),      # a and b at (E, 1); only a at (0, 2)
+    (BivarPoly.zero(), X * Y ** _E + Y),       # only b, at (2, E) and (1, 1)
+])
+def test_exponent_guard_names_the_largest_term_exponent(transform, p, q):
+    # The guard reads the support map; its number is the largest exponent a
+    # term (i, j) of degree k would reach, max(i, j) + 2(d - k) + 2.
+    terms = [key for c in (p, q) for key in c.support()]
+    d = max(i + j for i, j in terms)
+    largest = max(max(i, j) + 2 * (d - i - j) + 2 for i, j in terms)
+    assert largest > 2 ** 62  # so the guard refuses before building anything
+    with pytest.raises(ExponentOverflowError) as err:
+        transform(PlanarField(p, q))
+    assert str(err.value) == f"exponent {largest} exceeds {2 ** 62}"
+
+
 def test_pointwise_inversion_identity():
     # b(X)(u, v) = (u^2+v^2)^d * [(v^2-u^2) P - 2uv Q, (u^2-v^2) Q - 2uv P]
     # evaluated at the inverted point (u, v)/(u^2+v^2); exact rationals.

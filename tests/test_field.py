@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from monodroma import BivarPoly, PlanarField, ZeroPolynomialError, hamiltonian_field, support
 from monodroma.field import (
     ZERO_FIELD,
+    _field_from_support,
     common_real_linear_factors,
-    from_vector_coefficients,
     split,
     vector_coefficients,
 )
@@ -27,6 +27,14 @@ from genmaps import (
 
 X = BivarPoly.monomial(1, 0)
 Y = BivarPoly.monomial(0, 1)
+
+
+def from_vector_coefficients(coeffs, den):
+    """The inverse of vector_coefficients through BivarPoly.from_numerators,
+    which checks every exponent: a goes to p at (x, y - 1), b to q at (x - 1, y)."""
+    p = {(x, y - 1): a for (x, y), (a, _) in coeffs.items() if a}
+    q = {(x - 1, y): b for (x, y), (_, b) in coeffs.items() if b}
+    return PlanarField(BivarPoly.from_numerators(p, den), BivarPoly.from_numerators(q, den))
 
 
 def test_hamiltonian_field_matches_gradient():
@@ -73,7 +81,11 @@ _polys = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
 def test_vector_coefficients_round_trip(p, q):
     field = PlanarField(p, q)
     assume(not field.is_zero)
-    assert from_vector_coefficients(*vector_coefficients(field)) == field
+    coeffs, den = vector_coefficients(field)
+    assert from_vector_coefficients(coeffs, den) == field
+    # The same field from the unchecked inverse, at any scaling of the map.
+    assert _field_from_support(coeffs, den) == field
+    assert _field_from_support({pt: [3 * a, 3 * b] for pt, (a, b) in coeffs.items()}, 3 * den) == field
 
 
 def test_support_zero_field_rejected():

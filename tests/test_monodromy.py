@@ -99,6 +99,17 @@ def test_odd_vertices_are_inconclusive():
     assert "unbounded" in verdict.condition("c").detail
 
 
+def test_vertex_with_one_odd_coordinate_fails_condition_a():
+    # P = u*v - v^5, Q = u^5: the inner vertex (1, 2) has an odd x and an
+    # even y, so (a) must fail on it alone; the exterior ones are even.
+    diagram = build_diagram(PlanarField(U * V - V ** 5, U ** 5))
+    assert diagram.vertex_points() == [(0, 6), (1, 2), (6, 0)]
+    report = check_monodromic(diagram).condition("a")
+    assert not report.passed
+    assert report.witnesses == ("(1, 2)",)
+    assert report.detail == "vertices with odd coordinates: [(1, 2)]"
+
+
 def test_null_bounded_hamiltonian_without_mu_is_inconclusive():
     # h = 0 and mu = 0 happens only for the zero component, which cannot
     # occur on a diagram edge; instead check h = 0 with mu != 0 is caught

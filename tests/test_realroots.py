@@ -245,16 +245,28 @@ _sign_free_polys = st.builds(
     st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=4), _zero_powers, _scales)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(_planted_polys | _sign_free_polys)
+# Every quadratic c0 + c1 x + c2 x^2 with small coefficients, c2 != 0.
+_any_quadratics = st.tuples(st.integers(-20, 20), st.integers(-20, 20),
+                            st.integers(-20, 20).filter(bool)).map(lambda cs: lam(*cs))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_planted_polys | _sign_free_polys | _any_quadratics)
 @example(lam(1, 1))                       # x + 1: a negative root only
 @example(lam(1, 0, 1))                    # x^2 + 1
 @example(lam(0, 0, 0, 1))                 # x^3: its one root is zero
-@example(lam(1, -2, 1))                   # (x - 1)^2: two sign changes, the exact root 1
-@example(lam(369793, 1065142, 851929))    # sign changes in p(-x), yet no real root
+@example(lam(1, -2, 1))                   # (x - 1)^2: discriminant 0, the exact root 1
+@example(lam(369793, 1065142, 851929))    # sign changes in p(-x), discriminant < 0
+@example(lam(1, -1, 1))                   # x^2 - x + 1: discriminant -3
+@example(lam(2, -3, 1))                   # (x - 1)(x - 2): discriminant 1
+@example(lam(-1, 0, 3))                   # 3x^2 - 1: discriminant 12, irrational roots
+@example(lam(0, 1, 1))                    # x(x + 1): discriminant 1, one root at zero
 def test_descartes_exit_agrees_with_sturm(p):
-    alternated = [-c if i % 2 else c for i, c in enumerate(p.coeffs)]
-    settled = not _sign_changes(p.coeffs) and not _sign_changes(alternated)
+    cs = p.coeffs
+    alternated = [-c if i % 2 else c for i, c in enumerate(cs)]
+    # Descartes' bound allows no nonzero root, or a quadratic has a negative discriminant.
+    settled = ((not _sign_changes(cs) and not _sign_changes(alternated))
+               or (len(cs) == 3 and cs[1] ** 2 - 4 * cs[0] * cs[2] < 0))
     with mock.patch.object(realroots, "_sturm_roots", wraps=realroots._sturm_roots) as sturm:
         witnesses = nonzero_real_roots(p)
     assert sturm.called != settled

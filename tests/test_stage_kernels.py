@@ -4,6 +4,8 @@ hamiltonian_field and jacobian_det compute on integer numerators and
 normalise once per output polynomial; dehomogenize reads quasi-homogeneity
 off the set of weighted degrees.  The references below are the definitions
 written with BivarPoly operators, which normalise after every step.
+certify's route, one support map from the energy's numerators to the
+Newton diagram, is checked against the public PlanarField stages.
 """
 
 from fractions import Fraction
@@ -11,8 +13,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monodroma import BivarPoly, PlanarField, ZeroPolynomialError, hamiltonian_field, jacobian_det
-from monodroma.polycore import MAX_EXPONENT, ExponentOverflowError
+from monodroma import (
+    BivarPoly,
+    PlanarField,
+    ZeroPolynomialError,
+    build_diagram,
+    certify,
+    compactify,
+    compactify_lower,
+    hamiltonian_field,
+    jacobian_det,
+)
+from monodroma.bendixson import _compactified
+from monodroma.diagram import _diagram
+from monodroma.field import _energy, _energy_support, vector_coefficients
+from monodroma.polycore import MAX_EXPONENT, ExponentOverflowError, _square_numerators, mul_numerators
 from monodroma.realroots import UniPoly, dehomogenize
 
 X = BivarPoly.monomial(1, 0)
@@ -103,6 +118,86 @@ def test_exponent_guard_messages_are_pinned():
         with pytest.raises(ExponentOverflowError) as err:
             det(BivarPoly.monomial(_E + 1, 1), f)
         assert str(err.value) == "exponent 4611686018427387905 exceeds 4611686018427387904"
+
+
+# -- certify's route: one support map from h to the diagram ---------------------
+
+
+def _route_diagram(f: BivarPoly, g: BivarPoly):
+    h, den = _energy(f, g)
+    return _diagram(_compactified(_energy_support(h), lower=True), den)
+
+
+def _fractions(coeffs, den):
+    return {pt: (Fraction(a, den), Fraction(b, den)) for pt, (a, b) in coeffs.items()}
+
+
+def _without_constant(p: BivarPoly) -> BivarPoly:
+    return p - p.coeff(0, 0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_polys, _polys)
+@example(*_mixed)
+@example(X * Fraction(3, 4), BivarPoly.zero())
+@example(BivarPoly.zero(), Y ** 2 * Fraction(-2, 9))
+@example(BivarPoly.zero(), BivarPoly.zero())
+@example(X ** 3 * Y * Fraction(-5, 6), Y ** 2 * Fraction(7, 9))
+@example(BivarPoly.const(Fraction(2, 3)), BivarPoly.zero())  # X = 0: no support
+@example(X + Y, X - Y)
+@example(X + Y ** 5, Y)  # both axis hits: the lower terms only
+def test_support_route_equals_the_field_stages(f, g):
+    h, den = _energy(f, g)
+    x_field = hamiltonian_field(f, g)
+    coeffs = _energy_support(h)
+    if x_field.is_zero:  # f and g constant: certify has refused such a map
+        assert coeffs == {}
+    else:
+        assert _fractions(coeffs, den) == _fractions(*vector_coefficients(x_field))
+        assert _route_diagram(f, g) == build_diagram(compactify_lower(x_field))
+    # certify takes the same route on the map with its constants removed,
+    # and on its sum with the identity, whose determinant is rarely zero.
+    f, g = _without_constant(f), _without_constant(g)
+    for f, g in ((f, g), (f + X, g + Y)):
+        cert = certify(f, g, assume_det=True)
+        if cert.diagram is None:  # the determinant is identically zero
+            assert jacobian_det(f, g).is_zero
+            continue
+        x_field = hamiltonian_field(f, g)
+        assert cert.diagram == build_diagram(compactify_lower(x_field))
+        assert cert.hamiltonian == x_field
+        assert cert.compactified == compactify(x_field)
+
+
+_numerators = st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                              st.integers(-10 ** 6, 10 ** 6), max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_numerators)
+@example({})
+@example({(3, 1): 0})
+@example({(0, 0): 5, (1, 0): -2, (0, 1): 3})
+@example({(1, 0): 1, (0, 1): 1, (1, 1): 0})
+def test_square_kernel_equals_the_product_kernel(a):
+    # Equal as dicts, zero entries where cross terms cancel included.
+    assert _square_numerators(a) == mul_numerators(a, a)
+
+
+@pytest.mark.parametrize("e", [_E - 1, _E, _E + 1])
+@pytest.mark.parametrize("key", ["x^e", "x^e*y", "y^e", "x^e*y^e", "x^e + y"])
+def test_square_kernel_raises_where_the_product_kernel_does(key, e):
+    a = {"x^e": {(e, 0): 3}, "x^e*y": {(e, 1): -1}, "y^e": {(0, e): 2},
+         "x^e*y^e": {(e, e): 1}, "x^e + y": {(e, 0): 1, (0, 1): 1}}[key]
+    try:
+        expected = mul_numerators(a, a)
+    except ExponentOverflowError as err:
+        with pytest.raises(ExponentOverflowError) as got:
+            _square_numerators(a)
+        assert str(got.value) == str(err) == f"exponent {2 * e} exceeds {MAX_EXPONENT}"
+    else:
+        assert 2 * e <= MAX_EXPONENT
+        assert _square_numerators(a) == expected
 
 
 # -- dehomogenize -----------------------------------------------------------------
