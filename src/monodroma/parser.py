@@ -19,10 +19,17 @@ integer strings (sys.get_int_max_str_digits) is an error too.  Parentheses
 and unary minuses together nest at most MAX_DEPTH deep, so hostile input
 ends in a ParseError, not in the interpreter's recursion limit.
 
-Cost model: every value is one pair (num, den) of integer numerators
-{(i, j): n} over a positive denominator, in any scaling.  A literal or a
-variable is one small dict, a unary minus one negated copy, a product one
-call of polycore.mul_numerators and a power one call of
+Cost model: the text is split by one regular-expression pass, and each
+distinct lexeme is classified once, so a token costs one list entry for its
+kind.  Byte offsets are computed only for an error.  Every value is one
+pair (num, den) of integer numerators {(i, j): n} over a positive
+denominator, in any scaling.  A term multiplies its factors left to right.
+Up to its first parenthesised factor, the literals and the powers of
+variables fold into one running monomial c/den * x^a * y^b: a few integer
+operations per factor, with the exponent checks of polycore.mul_numerators
+in its order (x before y, none once c is 0).  A parenthesised factor, and
+every factor after it, is multiplied in by one call of
+polycore.mul_numerators, and a parenthesised power is one call of
 polycore.pow_numerators, the kernels BivarPoly's own operators use.  A sum
 of k terms is one pass over their numerators scaled to the lcm of their
 denominators.  Nothing is reduced on the way, except a power's base by the
@@ -35,14 +42,15 @@ from __future__ import annotations
 import re
 import sys
 from math import gcd, lcm
-from typing import NamedTuple
 
-from .polycore import MAX_EXPONENT, BivarPoly, Monomial, mul_numerators, pow_numerators
+from .polycore import (MAX_EXPONENT, BivarPoly, Monomial, _check_exponent, mul_numerators,
+                       pow_numerators)
 
 MAX_DEPTH = 100
 
-# Integer numerators over a positive denominator, not necessarily reduced.
-_Value = tuple[dict[Monomial, int], int]
+# Integer numerators over a positive denominator, not necessarily reduced,
+# and the index of the token after them.
+_Parsed = tuple[dict[Monomial, int], int, int]
 
 
 class ParseError(ValueError):
@@ -57,184 +65,229 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-class _Token(NamedTuple):
-    kind: str  # "int", "name", one of "+-*/^()=;", or "end"
-    text: str
-    start: int  # index of its first character in the input
-    value: int = 0
+# One token per match: the whitespace before it, then an ASCII decimal run,
+# a word run or any other single character.  Only trailing whitespace is
+# left unmatched, so the matches and that tail tile the whole text.
+_TOKEN = re.compile(r"\s*([0-9]+|\w+|\S)")
+# Each operator is its own kind.
+_OPERATORS = {op: op for op in "+-*/^()=;"}
 
 
-# One lexeme per match, in order: a whitespace run, an ASCII decimal run, a
-# word run or any other single character, so the matches tile the whole text.
-_LEXEME = re.compile(r"(\s+)|([0-9]+)|(\w+)|(.)", re.DOTALL)
-_OPERATORS = frozenset("+-*/^()=;")
-
-
-def _byte_offset(text: str, pos: int) -> int:
-    """The UTF-8 byte offset of character pos; computed only for an error."""
+def _byte_offset(text: str, k: int) -> int:
+    """The UTF-8 byte offset of token k's first character, or of the end of
+    text for the end token; computed only for an error."""
+    pos = len(text)
+    for m in _TOKEN.finditer(text):
+        if not k:
+            pos = m.start(1)
+            break
+        k -= 1
     return len(text[:pos].encode("utf-8"))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _LEXEME.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            continue
-        lexeme = m.group(group)
-        if group == 2:
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and lexemes of text's tokens, both lists ending with the end
+    token's.  A kind is "int", "name", one of "+-*/^()=;" or "end".  A lexeme
+    that is no token raises the ParseError of the first such in the text."""
+    lexemes = _TOKEN.findall(text)
+    kind_of = dict(_OPERATORS)
+    bad = set()
+    for lexeme in set(lexemes).difference(_OPERATORS):
+        head = lexeme[0]
+        if "0" <= head <= "9":  # the whole lexeme is an ASCII decimal run
             try:
-                value = int(lexeme)
+                int(lexeme)
             except ValueError:  # longer than the interpreter's int-string limit
-                raise ParseError(
-                    f"integer literal of {len(lexeme)} digits exceeds the limit of "
-                    f"{sys.get_int_max_str_digits()} digits", _byte_offset(text, m.start()),
-                ) from None
-            tokens.append(_Token("int", lexeme, m.start(), value))
-        elif group == 3 and (lexeme[0].isalpha() or lexeme[0] == "_"):
-            tokens.append(_Token("name", lexeme, m.start()))
-        elif group == 4 and lexeme in _OPERATORS:
-            tokens.append(_Token(lexeme, lexeme, m.start()))
-        else:
-            raise ParseError(f"unexpected character {lexeme[0]!r}", _byte_offset(text, m.start()))
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+                bad.add(lexeme)
+                continue
+            kind_of[lexeme] = "int"
+        elif head.isalpha() or head == "_":  # a word run, since letters are word characters
+            kind_of[lexeme] = "name"
+        else:  # a word run that starts with no letter, or a stray character
+            bad.add(lexeme)
+    if bad:
+        k = next(k for k, lexeme in enumerate(lexemes) if lexeme in bad)
+        lexeme, offset = lexemes[k], _byte_offset(text, k)
+        if "0" <= lexeme[0] <= "9":
+            raise ParseError(f"integer literal of {len(lexeme)} digits exceeds the limit of "
+                             f"{sys.get_int_max_str_digits()} digits", offset)
+        raise ParseError(f"unexpected character {lexeme[0]!r}", offset)
+    kinds = list(map(kind_of.__getitem__, lexemes))
+    kinds.append("end")
+    lexemes.append("")
+    return kinds, lexemes
 
 
 class _Parser:
+    """The descent over one text's tokens.  expr and term take the index of
+    their first token and return their value with the index after it."""
+
     def __init__(self, text: str, variables: tuple[str, str]):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.kinds, self.lexemes = _tokenize(text)
         self.variables = variables
-        self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, k: int, expected: frozenset[str] = frozenset()) -> ParseError:
+        return ParseError(message, _byte_offset(self.text, k), expected)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def unexpected(self, k: int, *expected: str) -> ParseError:
+        kind, lexeme = self.kinds[k], self.lexemes[k]
+        if kind == "end":
+            described = "end of input"
+        elif kind == "int":
+            described = f"integer {lexeme}"
+        elif kind == "name":
+            described = f"name {lexeme!r}"
+        else:
+            described = repr(lexeme)
+        return self.error(f"unexpected {described}", k, frozenset(expected))
 
-    def error(self, message: str, tok: _Token, expected: frozenset[str] = frozenset()) -> ParseError:
-        return ParseError(message, _byte_offset(self.text, tok.start), expected)
+    def expect(self, k: int, kind: str, description: str) -> int:
+        if self.kinds[k] != kind:
+            raise self.unexpected(k, description)
+        return k + 1
 
-    def unexpected(self, tok: _Token, *expected: str) -> ParseError:
-        return self.error(f"unexpected {_describe(tok)}", tok, frozenset(expected))
+    def exponent(self, k: int) -> int:
+        """The exponent after the '^' at k - 1."""
+        if self.kinds[k] != "int":
+            raise self.unexpected(k, "non-negative integer exponent")
+        n = int(self.lexemes[k])
+        if n > MAX_EXPONENT:
+            raise self.error(f"exponent {n} exceeds {MAX_EXPONENT}", k)
+        return n
 
-    def expect(self, kind: str, description: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.unexpected(tok, description)
-        return self.advance()
-
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
-            raise self.unexpected(tok, "end of input")
-
-    def nest(self) -> None:
-        """Consume a '(' or unary '-' one level deeper, within MAX_DEPTH."""
-        tok = self.advance()
+    def nest(self, k: int) -> None:
+        """Go one level deeper for the '(' or unary '-' at k, within MAX_DEPTH."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise self.error(f"nesting deeper than {MAX_DEPTH}", tok)
+            raise self.error(f"nesting deeper than {MAX_DEPTH}", k)
 
-    def expr(self) -> _Value:
-        value = self.term()
-        if self.peek().kind not in ("+", "-"):
-            return value
-        signed = [(1, *value)]
-        while self.peek().kind in ("+", "-"):
-            signed.append((1 if self.advance().kind == "+" else -1, *self.term()))
+    def expr(self, k: int) -> _Parsed:
+        kinds = self.kinds
+        num, den, k = self.term(k)
+        if kinds[k] != "+" and kinds[k] != "-":
+            return num, den, k
+        nums, dens, signs = [num], [den], [1]
+        while (op := kinds[k]) == "+" or op == "-":
+            num, den, k = self.term(k + 1)
+            nums.append(num)
+            dens.append(den)
+            signs.append(1 if op == "+" else -1)
         # One sum over the lcm of the denominators, linear in the terms.
-        den = lcm(*(term_den for _, _, term_den in signed))
+        den = lcm(*dens)
         acc: dict[Monomial, int] = {}
         get = acc.get
-        for sign, num, term_den in signed:
-            scale = sign * (den // term_den)
+        for num, term_den, sign in zip(nums, dens, signs):
+            scale = den // term_den if sign > 0 else -(den // term_den)
             for key, n in num.items():
                 acc[key] = get(key, 0) + n * scale
-        return {key: n for key, n in acc.items() if n}, den
+        return {key: n for key, n in acc.items() if n}, den, k
 
-    def term(self) -> _Value:
-        num, den = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            rhs, rhs_den = self.factor()
-            num, den = mul_numerators(num, rhs), den * rhs_den
-        return num, den
-
-    def factor(self) -> _Value:
-        if self.peek().kind == "-":
-            self.nest()
-            num, den = self.factor()
-            self.depth -= 1
-            return {key: -n for key, n in num.items()}, den
-        return self.power()
-
-    def power(self) -> _Value:
-        num, den = self.atom()
-        if self.peek().kind != "^":
-            return num, den
-        self.advance()
-        tok = self.peek()
-        if tok.kind != "int":
-            raise self.unexpected(tok, "non-negative integer exponent")
-        if tok.value > MAX_EXPONENT:
-            raise self.error(f"exponent {tok.value} exceeds {MAX_EXPONENT}", tok)
-        self.advance()
-        if den != 1:  # lowest terms, so that (2/2*x)^n costs what x^n does
-            g = gcd(den, *num.values())
-            num, den = {key: n // g for key, n in num.items()}, den // g
-        return pow_numerators(num, den, tok.value)
-
-    def atom(self) -> _Value:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            den = 1
-            if self.peek().kind == "/":
-                self.advance()
-                den_tok = self.peek()
-                if den_tok.kind != "int":
-                    raise self.unexpected(den_tok, "integer denominator")
-                if den_tok.value == 0:
-                    raise self.error("zero denominator", den_tok)
-                self.advance()
-                den = den_tok.value
-            return ({(0, 0): tok.value} if tok.value else {}), den
-        if tok.kind == "name":
-            if tok.text not in self.variables:
-                raise self.error(f"unknown variable {tok.text!r}", tok,
-                                 frozenset({f"variable {v!r}" for v in self.variables}))
-            self.advance()
-            return ({(1, 0): 1} if tok.text == self.variables[0] else {(0, 1): 1}), 1
-        if tok.kind == "(":
-            self.nest()
-            value = self.expr()
-            self.expect(")", "')'")
-            self.depth -= 1
-            return value
-        raise self.unexpected(tok, "integer", "'('", *(f"variable {v!r}" for v in self.variables))
-
-
-def _describe(tok: _Token) -> str:
-    if tok.kind == "end":
-        return "end of input"
-    if tok.kind == "int":
-        return f"integer {tok.text}"
-    if tok.kind == "name":
-        return f"name {tok.text!r}"
-    return f"{tok.text!r}"
+    def term(self, k: int) -> _Parsed:
+        kinds, lexemes = self.kinds, self.lexemes
+        x, y = self.variables
+        # The product so far is c/den * x^a * y^b until a parenthesised
+        # factor makes it num/den; c = 0 stands for the empty numerators.
+        c, a, b, den = 1, 0, 0, 1
+        num: dict[Monomial, int] | None = None
+        while True:
+            # factor := "-"* power; each minus is one level of nesting.
+            minuses = 0
+            while kinds[k] == "-":
+                self.nest(k)
+                minuses += 1
+                k += 1
+            kind = kinds[k]
+            if kind == "int":  # rational ["^" natural]
+                n, d = int(lexemes[k]), 1
+                k += 1
+                if kinds[k] == "/":
+                    if kinds[k + 1] != "int":
+                        raise self.unexpected(k + 1, "integer denominator")
+                    d = int(lexemes[k + 1])
+                    if not d:
+                        raise self.error("zero denominator", k + 1)
+                    k += 2
+                if kinds[k] == "^":
+                    e = self.exponent(k + 1)
+                    k += 2
+                    if d != 1:  # lowest terms, as for any power's base
+                        g = gcd(d, n)
+                        n, d = n // g, d // g
+                    n, d = n**e, d**e
+                i = j = 0
+            elif kind == "name":  # variable ["^" natural]
+                name = lexemes[k]
+                if name == x:
+                    i, j = 1, 0
+                elif name == y:
+                    i, j = 0, 1
+                else:
+                    raise self.error(f"unknown variable {name!r}", k,
+                                     frozenset({f"variable {v!r}" for v in self.variables}))
+                n = d = 1
+                k += 1
+                if kinds[k] == "^":
+                    e = self.exponent(k + 1)
+                    k += 2
+                    i, j = i * e, j * e
+            elif kind == "(":  # "(" expr ")" ["^" natural]
+                self.nest(k)
+                fnum, fden, k = self.expr(k + 1)
+                k = self.expect(k, ")", "')'")
+                self.depth -= 1
+                if kinds[k] == "^":
+                    e = self.exponent(k + 1)
+                    k += 2
+                    if fden != 1:  # lowest terms, so that (2/2*x)^n costs what x^n does
+                        g = gcd(fden, *fnum.values())
+                        fnum, fden = {key: v // g for key, v in fnum.items()}, fden // g
+                    fnum, fden = pow_numerators(fnum, fden, e)
+                if minuses & 1:
+                    fnum = {key: -v for key, v in fnum.items()}
+                if num is None:
+                    if c != 1 or a or b:  # the product so far is not 1
+                        fnum = mul_numerators({(a, b): c} if c else {}, fnum)
+                    num = fnum
+                else:
+                    num = mul_numerators(num, fnum)
+                den *= fden
+                n = None
+            else:
+                raise self.unexpected(k, "integer", "'('",
+                                      *(f"variable {v!r}" for v in self.variables))
+            if minuses:
+                self.depth -= minuses
+            if n is not None:  # the factor is the monomial n/d * x^i * y^j
+                if minuses & 1:
+                    n = -n
+                if num is not None:
+                    num = mul_numerators(num, {(i, j): n} if n else {})
+                elif c:  # as mul_numerators: no check once a side is 0
+                    if not n:
+                        c = 0
+                    else:
+                        if i:
+                            a = _check_exponent(a + i)
+                        if j:
+                            b = _check_exponent(b + j)
+                        c *= n
+                den *= d
+            if kinds[k] != "*":
+                break
+            k += 1
+        if num is None:
+            num = {(a, b): c} if c else {}
+        return num, den, k
 
 
 def parse_poly(text: str, variables: tuple[str, str] = ("x", "y")) -> BivarPoly:
     """Parse a single polynomial expression in the two given variables."""
     parser = _Parser(text, variables)
-    poly = BivarPoly.from_numerators(*parser.expr())
-    parser.expect_end()
+    num, den, k = parser.expr(0)
+    poly = BivarPoly.from_numerators(num, den)
+    parser.expect(k, "end", "end of input")
     return poly
 
 
@@ -242,19 +295,19 @@ def parse_bindings(text: str, names: tuple[str, str],
                    variables: tuple[str, str]) -> tuple[BivarPoly, BivarPoly]:
     """Parse 'a = expr ; b = expr' with the required binding names in order."""
     parser = _Parser(text, variables)
+    kinds, lexemes = parser.kinds, parser.lexemes
     polys: list[BivarPoly] = []
-    for k, name in enumerate(names):
-        if k:
-            parser.expect(";", "';'")
-        tok = parser.peek()
-        if tok.kind != "name" or tok.text != name:
-            raise parser.unexpected(tok, f"binding {name!r}")
-        parser.advance()
-        parser.expect("=", "'='")
-        polys.append(BivarPoly.from_numerators(*parser.expr()))
-    if parser.peek().kind == ";":
-        parser.advance()
-    parser.expect_end()
+    k = 0
+    for index, name in enumerate(names):
+        if index:
+            k = parser.expect(k, ";", "';'")
+        if kinds[k] != "name" or lexemes[k] != name:
+            raise parser.unexpected(k, f"binding {name!r}")
+        num, den, k = parser.expr(parser.expect(k + 1, "=", "'='"))
+        polys.append(BivarPoly.from_numerators(num, den))
+    if kinds[k] == ";":
+        k += 1
+    parser.expect(k, "end", "end of input")
     return polys[0], polys[1]
 
 

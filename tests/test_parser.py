@@ -3,6 +3,7 @@
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,13 +11,14 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import monodroma
 from monodroma import BivarPoly, ParseError, parse_bindings, parse_map, parse_poly
 from monodroma.cli import main
 from monodroma.polycore import MAX_EXPONENT, ExponentOverflowError
 
+import reference_parser
 from genmaps import rand_poly
 
 X = BivarPoly.monomial(1, 0)
@@ -92,6 +94,9 @@ def test_nesting_depth_is_bounded():
     assert parse_poly("(" * 100 + "x" + ")" * 100) == X
     assert parse_poly("-" * 100 + "x") == X
     assert parse_poly("-(" * 50 + "x" + ")" * 50) == X
+    # Siblings do not nest: each factor's minuses and parentheses are released.
+    assert parse_poly("*".join(["-x"] * 150)) == X ** 150
+    assert parse_poly(" - ".join(["(-(x))"] * 150)) == X * 148
     for text in ("(" * 101 + "x" + ")" * 101, "(" * 200 + "x" + ")" * 200,
                  "-" * 1000 + "x", "-(" * 50 + "-x" + ")" * 50):
         with pytest.raises(ParseError) as err:
@@ -160,6 +165,17 @@ _CAP = MAX_EXPONENT  # 2^62
     # Repeated squaring passes the cap at the square x^(2^63), before the
     # result's x^(3 * 2^62): the first product over the cap names the error.
     (f"(x^4)^{3 * _CAP // 4}", ExponentOverflowError, f"exponent {2 * _CAP} exceeds {_CAP}"),
+    # The running monomial of a term checks each product as mul_numerators
+    # does, literals and denominators in between included ...
+    (f"2*x^{_CAP}*3*x", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
+    (f"1/2*y^{_CAP}*x*y", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
+    # The product overflows before the parser reads the unknown name after it.
+    (f"x^{_CAP}*x*z", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
+    (f"y^{_CAP}*y*z", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
+    # ... and hands on to it at a parenthesised factor, which checks x first.
+    (f"x^{_CAP}*y^{_CAP - 1}*(x*y^3)", ExponentOverflowError,
+     f"exponent {_CAP + 1} exceeds {_CAP}"),
+    ("2/0*x", ParseError, "zero denominator at byte 2"),
 ])
 def test_error_parity_on_hostile_inputs(text, error, message):
     with pytest.raises(error) as err:
@@ -170,6 +186,12 @@ def test_error_parity_on_hostile_inputs(text, error, message):
 
 def test_hostile_inputs_that_parse():
     assert parse_poly(f"0*x^{_CAP}*x") == 0
+    assert parse_poly(f"x^{_CAP}*0*x") == 0  # no check once the product is 0
+    assert parse_poly(f"0/1*y^{_CAP}*y") == 0
+    assert parse_poly("3/4^2*x") == X * Fraction(9, 16)  # a rational literal is one atom
+    # A literal base is in lowest terms before it is raised, as any base is.
+    assert parse_poly(f"2/2^{_CAP}*x") == X
+    assert parse_poly(f"0/5^{_CAP}") == 0
     assert parse_poly(f"(x^2)^{_CAP // 2}") == BivarPoly.monomial(_CAP, 0)
     assert parse_poly(f"(x*y^2)^{_CAP // 2}") == BivarPoly.monomial(_CAP // 2, _CAP)
     assert parse_poly(f"(x - x)^{_CAP}") == 0
@@ -267,6 +289,61 @@ _EXPRESSIONS = st.recursive(_ATOMS, lambda children: st.one_of(
 def test_parse_agrees_with_bivarpoly_operators(node):
     text, value, _ = node
     assert parse_poly(text) == value
+
+
+# Characters an edit may insert or substitute: every operator, digits, the
+# variables and a stranger, a two-byte letter, a non-ASCII digit, a stray
+# character, a space and a no-break space.
+_EDIT_CHARS = "+-*/^();=09xyz\u00b5\u0663% \u00a0"
+# A parenthesised base raised past the generator's exponents (at most 4)
+# can cost seconds, so such edits are left out.
+_BIG_POWER_OF_A_GROUP = re.compile(r"\)\s*\^\s*0*([5-9]|[1-9][0-9])")
+
+
+# Sums of products whose factors mix literals, rationals, powers of
+# variables, short parenthesised sums and unary minuses, the shapes that a
+# term folds into one monomial or hands on to the product kernel.
+_FACTORS = st.tuples(
+    st.sampled_from(("", "-", "- -")),
+    st.one_of(
+        _ATOMS.map(lambda node: node[0]),
+        st.lists(_ATOMS.map(lambda node: node[0]), min_size=1, max_size=3).map(
+            lambda texts: "(" + " - ".join(texts) + ")"),
+    ),
+    st.sampled_from(("", "^0", "^1", "^2", "^3")),
+).map("".join)
+_PRODUCTS = st.lists(st.lists(_FACTORS, min_size=1, max_size=5).map("*".join),
+                     min_size=1, max_size=3).map(" + ".join)
+
+
+@st.composite
+def _edited_texts(draw):
+    """The text of an _EXPRESSIONS node or of a sum of _PRODUCTS, with zero,
+    one or two characters inserted, deleted or replaced."""
+    text = draw(st.one_of(_EXPRESSIONS.map(lambda node: node[0]), _PRODUCTS))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        char = draw(st.sampled_from(_EDIT_CHARS))
+        text = text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert"):]
+    return text
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except Exception as exc:  # any error must match the reference's
+        return type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "expected", None)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_edited_texts())
+def test_parser_agrees_with_the_reference_parser(text):
+    assume(not _BIG_POWER_OF_A_GROUP.search(text))
+    assert _outcome(parse_poly, text) == _outcome(reference_parser.parse_poly, text)
+    bindings = f"f = {text}; g = x"
+    assert (_outcome(parse_bindings, bindings, ("f", "g"), ("x", "y"))
+            == _outcome(reference_parser.parse_bindings, bindings, ("f", "g"), ("x", "y")))
 
 
 def test_parse_map_bindings():
