@@ -19,22 +19,23 @@ integer strings (sys.get_int_max_str_digits) is an error too.  Parentheses
 and unary minuses together nest at most MAX_DEPTH deep, so hostile input
 ends in a ParseError, not in the interpreter's recursion limit.
 
-Cost model: the text is split by one regular-expression pass, and each
-distinct lexeme is classified once, so a token costs one list entry for its
-kind.  Byte offsets are computed only for an error.  Every value is one
-pair (num, den) of integer numerators {(i, j): n} over a positive
-denominator, in any scaling.  A term multiplies its factors left to right.
-Up to its first parenthesised factor, the literals and the powers of
-variables fold into one running monomial c/den * x^a * y^b: a few integer
-operations per factor, with the exponent checks of polycore.mul_numerators
-in its order (x before y, none once c is 0).  A parenthesised factor, and
+Cost model: the text is split by one regular-expression pass, linear in
+its length, and each distinct lexeme is classified once, so a token costs
+one list entry for its kind.  Byte offsets are computed only for an error.
+Every value is one pair (num, den) of integer numerators {(i, j): n} over a
+positive denominator, in any scaling.  A term multiplies its factors left
+to right.  Up to its first parenthesised factor, the literals and the
+powers of variables fold into one running monomial c/den * x^a * y^b by
+polycore.mul_monomial, a few integer operations per factor with the
+exponent checks of polycore.mul_numerators.  A parenthesised factor, and
 every factor after it, is multiplied in by one call of
 polycore.mul_numerators, and a parenthesised power is one call of
 polycore.pow_numerators, the kernels BivarPoly's own operators use.  A sum
 of k terms is one pass over their numerators scaled to the lcm of their
-denominators.  Nothing is reduced on the way, except a power's base by the
-gcd of its denominator and numerators: one BivarPoly.from_numerators per
-parsed expression or binding puts the result in lowest terms.
+denominators.  Nothing is reduced on the way, except a rational literal
+and a parenthesised power's base, by the gcd of denominator and
+numerators: one BivarPoly.from_numerators per parsed expression or binding
+puts the result in lowest terms.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import re
 import sys
 from math import gcd, lcm
 
-from .polycore import (MAX_EXPONENT, BivarPoly, Monomial, _check_exponent, mul_numerators,
+from .polycore import (MAX_EXPONENT, BivarPoly, Monomial, mul_monomial, mul_numerators,
                        pow_numerators)
 
 MAX_DEPTH = 100
@@ -65,10 +66,10 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-# One token per match: the whitespace before it, then an ASCII decimal run,
-# a word run or any other single character.  Only trailing whitespace is
-# left unmatched, so the matches and that tail tile the whole text.
-_TOKEN = re.compile(r"\s*([0-9]+|\w+|\S)")
+# One token per match: an ASCII decimal run, a word run or any other single
+# non-whitespace character.  findall steps over whitespace one character at
+# a time, so a split costs time linear in the text.
+_TOKEN = re.compile(r"[0-9]+|\w+|\S")
 # Each operator is its own kind.
 _OPERATORS = {op: op for op in "+-*/^()=;"}
 
@@ -79,7 +80,7 @@ def _byte_offset(text: str, k: int) -> int:
     pos = len(text)
     for m in _TOKEN.finditer(text):
         if not k:
-            pos = m.start(1)
+            pos = m.start()
             break
         k -= 1
     return len(text[:pos].encode("utf-8"))
@@ -91,27 +92,24 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
     that is no token raises the ParseError of the first such in the text."""
     lexemes = _TOKEN.findall(text)
     kind_of = dict(_OPERATORS)
-    bad = set()
+    errors: dict[str, str] = {}  # the error message of each lexeme that is no token
     for lexeme in set(lexemes).difference(_OPERATORS):
         head = lexeme[0]
         if "0" <= head <= "9":  # the whole lexeme is an ASCII decimal run
             try:
                 int(lexeme)
             except ValueError:  # longer than the interpreter's int-string limit
-                bad.add(lexeme)
+                errors[lexeme] = (f"integer literal of {len(lexeme)} digits exceeds the limit "
+                                  f"of {sys.get_int_max_str_digits()} digits")
                 continue
             kind_of[lexeme] = "int"
         elif head.isalpha() or head == "_":  # a word run, since letters are word characters
             kind_of[lexeme] = "name"
         else:  # a word run that starts with no letter, or a stray character
-            bad.add(lexeme)
-    if bad:
-        k = next(k for k, lexeme in enumerate(lexemes) if lexeme in bad)
-        lexeme, offset = lexemes[k], _byte_offset(text, k)
-        if "0" <= lexeme[0] <= "9":
-            raise ParseError(f"integer literal of {len(lexeme)} digits exceeds the limit of "
-                             f"{sys.get_int_max_str_digits()} digits", offset)
-        raise ParseError(f"unexpected character {lexeme[0]!r}", offset)
+            errors[lexeme] = f"unexpected character {head!r}"
+    if errors:
+        k = next(k for k, lexeme in enumerate(lexemes) if lexeme in errors)
+        raise ParseError(errors[lexemes[k]], _byte_offset(text, k))
     kinds = list(map(kind_of.__getitem__, lexemes))
     kinds.append("end")
     lexemes.append("")
@@ -192,7 +190,9 @@ class _Parser:
         c, a, b, den = 1, 0, 0, 1
         num: dict[Monomial, int] | None = None
         while True:
-            # factor := "-"* power; each minus is one level of nesting.
+            # factor := "-"* power; each minus is one level of nesting.  A
+            # literal or a variable is the monomial n/d * x^i * y^j, and a
+            # parenthesised factor the numerators fnum over d, with n None.
             minuses = 0
             while kinds[k] == "-":
                 self.nest(k)
@@ -209,14 +209,13 @@ class _Parser:
                     if not d:
                         raise self.error("zero denominator", k + 1)
                     k += 2
+                    g = gcd(d, n)  # lowest terms, so that a power of 2/2 costs what 1 does
+                    n, d = n // g, d // g
+                i = j = 0
                 if kinds[k] == "^":
                     e = self.exponent(k + 1)
                     k += 2
-                    if d != 1:  # lowest terms, as for any power's base
-                        g = gcd(d, n)
-                        n, d = n // g, d // g
                     n, d = n**e, d**e
-                i = j = 0
             elif kind == "name":  # variable ["^" natural]
                 name = lexemes[k]
                 if name == x:
@@ -234,46 +233,36 @@ class _Parser:
                     i, j = i * e, j * e
             elif kind == "(":  # "(" expr ")" ["^" natural]
                 self.nest(k)
-                fnum, fden, k = self.expr(k + 1)
+                fnum, d, k = self.expr(k + 1)
                 k = self.expect(k, ")", "')'")
                 self.depth -= 1
                 if kinds[k] == "^":
                     e = self.exponent(k + 1)
                     k += 2
-                    if fden != 1:  # lowest terms, so that (2/2*x)^n costs what x^n does
-                        g = gcd(fden, *fnum.values())
-                        fnum, fden = {key: v // g for key, v in fnum.items()}, fden // g
-                    fnum, fden = pow_numerators(fnum, fden, e)
-                if minuses & 1:
-                    fnum = {key: -v for key, v in fnum.items()}
-                if num is None:
-                    if c != 1 or a or b:  # the product so far is not 1
-                        fnum = mul_numerators({(a, b): c} if c else {}, fnum)
-                    num = fnum
-                else:
-                    num = mul_numerators(num, fnum)
-                den *= fden
+                    if d != 1:  # lowest terms, so that (2/2*x)^n costs what x^n does
+                        g = gcd(d, *fnum.values())
+                        fnum, d = {key: v // g for key, v in fnum.items()}, d // g
+                    fnum, d = pow_numerators(fnum, d, e)
                 n = None
             else:
                 raise self.unexpected(k, "integer", "'('",
                                       *(f"variable {v!r}" for v in self.variables))
             if minuses:
                 self.depth -= minuses
-            if n is not None:  # the factor is the monomial n/d * x^i * y^j
                 if minuses & 1:
-                    n = -n
-                if num is not None:
-                    num = mul_numerators(num, {(i, j): n} if n else {})
-                elif c:  # as mul_numerators: no check once a side is 0
-                    if not n:
-                        c = 0
+                    if n is None:
+                        fnum = {key: -v for key, v in fnum.items()}
                     else:
-                        if i:
-                            a = _check_exponent(a + i)
-                        if j:
-                            b = _check_exponent(b + j)
-                        c *= n
-                den *= d
+                        n = -n
+            den *= d
+            if n is None:
+                if num is None:
+                    num = {(a, b): c} if c else {}
+                num = mul_numerators(num, fnum)
+            elif num is None:
+                c, a, b = mul_monomial(c, a, b, n, i, j)
+            else:
+                num = mul_numerators(num, {(i, j): n} if n else {})
             if kinds[k] != "*":
                 break
             k += 1

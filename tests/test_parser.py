@@ -187,9 +187,11 @@ def test_error_parity_on_hostile_inputs(text, error, message):
 def test_hostile_inputs_that_parse():
     assert parse_poly(f"0*x^{_CAP}*x") == 0
     assert parse_poly(f"x^{_CAP}*0*x") == 0  # no check once the product is 0
+    assert parse_poly(f"x^{_CAP}*0*x^{_CAP}*x") == 0
     assert parse_poly(f"0/1*y^{_CAP}*y") == 0
     assert parse_poly("3/4^2*x") == X * Fraction(9, 16)  # a rational literal is one atom
-    # A literal base is in lowest terms before it is raised, as any base is.
+    # A rational literal is read in lowest terms, so a power of it costs no
+    # more than the same power of its reduced value.
     assert parse_poly(f"2/2^{_CAP}*x") == X
     assert parse_poly(f"0/5^{_CAP}") == 0
     assert parse_poly(f"(x^2)^{_CAP // 2}") == BivarPoly.monomial(_CAP, 0)
@@ -205,17 +207,27 @@ def test_hostile_inputs_that_parse():
 def test_tokenizing_is_linear_in_the_input():
     # 150,000 terms "x + " spaced with two-byte no-break spaces, then a stray
     # character: 900 KB that tokenize well inside the timeout only when the
-    # cost of a token's byte offset does not grow with its position.
-    code = ("from monodroma import ParseError, parse_poly\n"
-            "try:\n"
-            "    parse_poly('x\\u00a0+\\u00a0' * 150000 + '%')\n"
-            "except ParseError as exc:\n"
-            "    print(exc)\n")
+    # cost of a token's byte offset does not grow with its position.  Then a
+    # million blanks or newlines after the last token, or no token at all:
+    # linear only when a whitespace run is stepped over once, not rescanned
+    # from each of its characters.
+    code = ("from monodroma import ParseError, parse_map, parse_poly\n"
+            "for text in ('x\\u00a0+\\u00a0' * 150000 + '%', ' ' * 10**6):\n"
+            "    try:\n"
+            "        parse_poly(text)\n"
+            "    except ParseError as exc:\n"
+            "        print(exc)\n"
+            "print(parse_poly('x' + ' ' * 10**6))\n"
+            "print(parse_map('f = x; g = y' + '\\n' * 10**6))\n")
     src = str(Path(monodroma.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=30)
-    assert done.stdout.strip() == "unexpected character '%' at byte 900000"
+    assert done.stdout.splitlines() == [
+        "unexpected character '%' at byte 900000",
+        "unexpected end of input at byte 1000000 "
+        "(expected '(', integer, variable 'x', variable 'y')",
+        "BivarPoly('x')", "(BivarPoly('x'), BivarPoly('y'))"]
 
 
 def test_parsing_a_long_sum_is_linear_in_its_terms():
