@@ -5,9 +5,16 @@ supp(X) + (first quadrant).  Vertices are listed along the chain starting
 next to the y-axis: x strictly increases, y strictly decreases, and edge
 exponents t2/t1 strictly increase.  Each edge carries the splitting
 (h, mu) of the quasi-homogeneous restriction of the field to the edge's
-supporting line, read by field.split_line from the diagram's one
-vector-coefficient map; the h of the two edges meeting at an inner vertex
-define the vertex invariant beta.
+supporting line; the h of the two edges meeting at an inner vertex define
+the vertex invariant beta.
+
+A field that is quasi-homogeneous of type t and degree k splits uniquely
+into the Hamiltonian field of h plus mu * (t1*x, t2*y), point by point:
+with w = k + t1 + t2, each point (x, y) of its vector-coefficient map
+(field.vector_coefficients), holding (a, b), gives (t1*b - t2*a)/w to h at
+x^x y^y and (x*a + y*b)/w to mu at x^(x-1) y^(y-1).  edge_hamiltonian
+applies this formula to the points of the diagram's one map that lie on an
+edge's line t1*x + t2*y = w.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .polycore import BivarPoly, QuasiType, quasi_type
-from .field import PlanarField, SplitField, SupportMap, split_line, vector_coefficients
+from .field import PlanarField, SupportMap, vector_coefficients
 # Not called here: tracers wrap the name monodroma.diagram.support (bench/spans.py).
 from .field import support  # noqa: F401
 
@@ -113,14 +120,23 @@ class NewtonDiagram:
         return [v.point for v in self.vertices]
 
 
-def edge_hamiltonian(coeffs: SupportMap, den: int, t: QuasiType, line_value: int) -> SplitField:
-    """Split the field on the line t1*x + t2*y = line_value from the diagram's one
-    vector_coefficients map (coeffs, den); error when the line misses the support."""
+def edge_hamiltonian(coeffs: SupportMap, den: int, t: QuasiType,
+                     line_value: int) -> tuple[BivarPoly, BivarPoly]:
+    """(h, mu): the split of the module docstring, over den*w, of the points of the
+    diagram's one vector_coefficients map (coeffs, den) on the line t1*x + t2*y = w,
+    w = line_value, all others ignored.  Errors when the line misses the support,
+    then when w = 0; ExponentOverflowError when h would hold an exponent past
+    MAX_EXPONENT, which a support coordinate can be though the field's terms are not."""
     t1, t2 = quasi_type(*t)
-    piece = split_line(coeffs, den, (t1, t2), line_value)
-    if piece is None:
+    on_line = [(x, y, a, b) for (x, y), (a, b) in coeffs.items() if t1 * x + t2 * y == line_value]
+    if not on_line:
         raise ValueError(f"line {t1}*x + {t2}*y = {line_value} misses the support of the field")
-    return piece
+    if line_value == 0:
+        raise ValueError("splitting is undefined when k + t1 + t2 = 0")
+    h = {(x, y): t1 * b - t2 * a for x, y, a, b in on_line}
+    mu = {(x - 1, y - 1): x * a + y * b for x, y, a, b in on_line if x * a + y * b}
+    return (BivarPoly.from_numerators(h, den * line_value),
+            BivarPoly.from_numerators(mu, den * line_value))
 
 
 def _edge_type(a: tuple[int, int], b: tuple[int, int]) -> QuasiType:
@@ -150,8 +166,8 @@ def _diagram(coeffs: SupportMap, den: int) -> NewtonDiagram:
 
     def edge(t: QuasiType, ends: tuple[Vertex, ...]) -> Edge:
         line_value = t[0] * ends[0].point[0] + t[1] * ends[0].point[1]
-        piece = edge_hamiltonian(coeffs, den, t, line_value)
-        return Edge(t, len(ends) == 2, ends, line_value, piece.k, piece.h, piece.mu)
+        h, mu = edge_hamiltonian(coeffs, den, t, line_value)
+        return Edge(t, len(ends) == 2, ends, line_value, line_value - t[0] - t[1], h, mu)
 
     bounded = [edge(_edge_type(va.point, vb.point), (va, vb))
                for va, vb in zip(vertices, vertices[1:])]

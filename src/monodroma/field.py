@@ -1,4 +1,4 @@
-"""Planar polynomial vector fields and their quasi-homogeneous structure.
+"""Planar polynomial vector fields, the energy of a map, and support maps.
 
 The central construction: for a polynomial map F = (f, g) the Hamiltonian
 field of (f^2 + g^2)/2 is
@@ -10,12 +10,10 @@ each lattice point (x, y) carries a vector coefficient (a, b), a from P at
 (x, y-1) and b from Q at (x-1, y): vector_coefficients reads this map and
 _field_from_support, its inverse, builds a field from it.  For X that map is
 read straight off the energy H = (f^2 + g^2)/2: with h the integer numerators
-of H, the point (i, j) holds (-j*h_ij, i*h_ij).  A field that
-is quasi-homogeneous of type t and degree k splits uniquely into the
-Hamiltonian field of h plus mu * (t1*x, t2*y), point by point: with
-w = k + t1 + t2, h gets (t1*b - t2*a)/w at x^x y^y and mu gets (x*a + y*b)/w
-at x^(x-1) y^(y-1).  split_line is this formula on the points of one line
-t1*x + t2*y = w of a support map; the Newton diagram splits each edge with it.
+of H, the point (i, j) holds (-j*h_ij, i*h_ij).  The Newton diagram splits
+each of its edges from this map (diagram.edge_hamiltonian).
+
+common_real_linear_factors serves the 2016 comparison (pipeline.cima_condition).
 """
 
 from __future__ import annotations
@@ -25,9 +23,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .polycore import (BivarPoly, Monomial, QuasiType, Scalar, ZeroPolynomialError, _normalise,
-                       _square_numerators, quasi_type)
-from .realroots import FactorWitness, UniPoly, dehomogenize, nonzero_real_roots, poly_gcd, sturm_count
+from .polycore import BivarPoly, Monomial, Scalar, ZeroPolynomialError, _normalise, _square_numerators
+from .realroots import dehomogenize, nonzero_real_roots, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -130,59 +127,6 @@ def support_points(x_field: PlanarField) -> set[tuple[int, int]]:
     return set(vector_coefficients(x_field)[0])
 
 
-@dataclass(frozen=True)
-class SplitField:
-    """Conservative-dissipative splitting of a quasi-homogeneous field.
-
-    X = X_h + mu * (t1*x, t2*y) with X_h the Hamiltonian field of h, where
-    h has quasi-degree k + t1 + t2 and mu has quasi-degree k.
-    """
-
-    k: int
-    t: QuasiType
-    h: BivarPoly
-    mu: BivarPoly
-
-    def reconstruct(self) -> PlanarField:
-        t1, t2 = self.t
-        return PlanarField(
-            -self.h.partial(1) + self.mu * BivarPoly.monomial(1, 0, t1),
-            self.h.partial(0) + self.mu * BivarPoly.monomial(0, 1, t2),
-        )
-
-
-def split(x_field: PlanarField, k: int, t: QuasiType) -> SplitField:
-    """Split a field that is quasi-homogeneous of type t and degree k by
-    split_line on w = k + t1 + t2; the zero field splits into zeros.  Errors
-    when w = 0 or when the field is not quasi-homogeneous of that type and degree."""
-    t1, t2 = quasi_type(*t)
-    weight = k + t1 + t2
-    if weight == 0:
-        raise ValueError("splitting is undefined when k + t1 + t2 = 0")
-    if x_field.is_zero:
-        return SplitField(k, (t1, t2), BivarPoly.zero(), BivarPoly.zero())
-    coeffs, den = vector_coefficients(x_field)
-    if any(t1 * x + t2 * y != weight for x, y in coeffs):
-        raise ValueError(f"field is not quasi-homogeneous of type {t} and degree {k}")
-    return split_line(coeffs, den, (t1, t2), weight)
-
-
-def split_line(coeffs: SupportMap, den: int, t: QuasiType, w: int) -> Optional[SplitField]:
-    """The per-point split of the module docstring, over den*w, of the points of a
-    support map on the line t1*x + t2*y = w, all others ignored.  None when no
-    point lies on the line; error when w = 0."""
-    t1, t2 = t
-    on_line = [(x, y, a, b) for (x, y), (a, b) in coeffs.items() if t1 * x + t2 * y == w]
-    if not on_line:
-        return None
-    if w == 0:
-        raise ValueError("splitting is undefined when k + t1 + t2 = 0")
-    h = {(x, y): t1 * b - t2 * a for x, y, a, b in on_line}
-    mu = {(x - 1, y - 1): x * a + y * b for x, y, a, b in on_line if x * a + y * b}
-    return SplitField(w - t1 - t2, t, BivarPoly.from_numerators(h, den * w),
-                      BivarPoly.from_numerators(mu, den * w))
-
-
 # -- common real linear factors of binary forms -------------------------------
 
 
@@ -195,20 +139,8 @@ class CommonLinearFactor:
     """
 
     kind: str
-    mult_a: int
-    mult_b: int
     slope: Optional[Fraction] = None
     slope_interval: Optional[tuple[Fraction, Fraction]] = None
-
-
-def _multiplicity(p: UniPoly, common: UniPoly, w: FactorWitness) -> int:
-    """Multiplicity in p of the one distinct root of common that w isolates:
-    its first nonzero derivative."""
-    mult = 0
-    while (p(w.exact) == 0 if w.exact is not None
-           else sturm_count(poly_gcd(common, p), w.lo, w.hi) > 0):
-        p, mult = p.derivative(), mult + 1
-    return mult
 
 
 def common_real_linear_factors(a: BivarPoly, b: BivarPoly) -> list[CommonLinearFactor]:
@@ -227,15 +159,13 @@ def common_real_linear_factors(a: BivarPoly, b: BivarPoly) -> list[CommonLinearF
     ax, ay = a.min_exponents()
     bx, by = b.min_exponents()
     if ax and bx:
-        out.append(CommonLinearFactor("x", ax, bx))
+        out.append(CommonLinearFactor("x"))
     if ay and by:
-        out.append(CommonLinearFactor("y", ay, by))
-    pa, pb = dehomogenize(a, (1, 1)), dehomogenize(b, (1, 1))
-    common = poly_gcd(pa, pb)
+        out.append(CommonLinearFactor("y"))
+    common = poly_gcd(dehomogenize(a, (1, 1)), dehomogenize(b, (1, 1)))
     for witness in nonzero_real_roots(common):
         out.append(CommonLinearFactor(
-            "slope", _multiplicity(pa, common, witness), _multiplicity(pb, common, witness),
-            slope=witness.exact,
+            "slope", slope=witness.exact,
             slope_interval=None if witness.exact is not None else (witness.lo, witness.hi),
         ))
     return out

@@ -261,3 +261,10 @@ def test_exponent_overflow_in_a_product_exits_one(capsys):
     assert main(["check", f"f = x^{2 ** 62} * x; g = y"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: exponent") and "Traceback" not in err
+
+
+def test_edge_hamiltonian_past_the_cap_exits_one(capsys):
+    # The field is within the cap, but its one edge's h holds v^(2^62 + 1)
+    # at the support point (0, 2^62 + 1) of P = -v^(2^62).
+    assert main(["monodromy", f"P = -v^{2 ** 62}; Q = u"]) == 1
+    assert capsys.readouterr().err == f"error: exponent {2 ** 62 + 1} exceeds {2 ** 62}\n"

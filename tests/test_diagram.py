@@ -10,13 +10,25 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from monodroma import BivarPoly, PlanarField, build_diagram, hamiltonian_field, support
 from monodroma.diagram import edge_hamiltonian, inner_beta, newton_chain
-from monodroma.field import SplitField, split, vector_coefficients
+from monodroma.field import vector_coefficients
 from monodroma.oracle import brute_force_diagram
 
-from genmaps import example1_map, lattice_on_line, rand_quasi_field, rand_type
+from genmaps import example1_map, lattice_on_line, rand_quasi_field, rand_quasi_poly, rand_type
 
 X = BivarPoly.monomial(1, 0)
 Y = BivarPoly.monomial(0, 1)
+
+
+def reconstruct(h, mu, t):
+    """X_h + mu * (t1*x, t2*y), the field that a split (h, mu) of type t stands for."""
+    t1, t2 = t
+    return PlanarField(-h.partial(1) + mu * X * t1, h.partial(0) + mu * Y * t2)
+
+
+def split_quasi_field(field, k, t):
+    """edge_hamiltonian on the one line t1*x + t2*y = k + t1 + t2 of a field that is
+    quasi-homogeneous of type t and degree k."""
+    return edge_hamiltonian(*vector_coefficients(field), t, k + t[0] + t[1])
 
 
 def rand_points(rng, count=12, bound=15):
@@ -188,6 +200,58 @@ def test_edge_hamiltonian_error_when_line_misses_support():
     assert "misses the support" in str(err.value)
 
 
+def test_edge_hamiltonian_error_on_non_coprime_type():
+    with pytest.raises(ValueError, match=r"quasi-homogeneity type \(2, 4\) is not coprime"):
+        edge_hamiltonian(*vector_coefficients(PlanarField(X, Y)), (2, 4), 6)
+
+
+def test_edge_hamiltonian_error_when_line_value_is_zero():
+    # The vertical ray's line x = 0 meets the support point (0, 2) of P = -y.
+    with pytest.raises(ValueError, match=r"splitting is undefined when k \+ t1 \+ t2 = 0"):
+        edge_hamiltonian(*vector_coefficients(PlanarField(-Y, X)), (1, 0), 0)
+
+
+def test_edge_hamiltonian_reconstructs_quasi_homogeneous_field():
+    # The last 40 draws take the axis types (1, 0) and (0, 1) of the
+    # unbounded rays in build_diagram.
+    rng = random.Random(403)
+    for n in range(240):
+        t = rand_type(rng, bound=4) if n < 200 else ((1, 0), (0, 1))[n % 2]
+        k = rng.randint(1, 9)
+        field = rand_quasi_field(rng, t, k)
+        assert reconstruct(*split_quasi_field(field, k, t), t) == field
+
+
+def test_edge_hamiltonian_euler_identity():
+    # t1*x*h_x + t2*y*h_y = (k + t1 + t2) * h for the split Hamiltonian.
+    rng = random.Random(404)
+    for _ in range(100):
+        t = rand_type(rng, bound=3)
+        k = rng.randint(1, 7)
+        h, mu = split_quasi_field(rand_quasi_field(rng, t, k), k, t)
+        lhs = X * h.partial(0) * t[0] + Y * h.partial(1) * t[1]
+        assert lhs == h * (k + t[0] + t[1])
+        if not mu.is_zero:
+            assert len(mu.quasi_components(t)) <= 1
+            assert mu.quasi_degree(t) == k
+
+
+def test_edge_hamiltonian_of_hamiltonian_field_is_conservative():
+    # For a field that is already Hamiltonian, mu vanishes and h generates it.
+    rng = random.Random(405)
+    for _ in range(50):
+        t = rand_type(rng, bound=3)
+        weight = rng.randint(2, 8)
+        value = weight + t[0] + t[1]
+        if not lattice_on_line(t, value):
+            continue
+        h = rand_quasi_poly(rng, t, value)
+        field = PlanarField(-h.partial(1), h.partial(0))
+        if field.is_zero:
+            continue
+        assert split_quasi_field(field, weight, t) == (h, BivarPoly.zero())
+
+
 _polys = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                         st.fractions(min_value=-9, max_value=9, max_denominator=7),
                         max_size=5).map(BivarPoly)
@@ -202,8 +266,8 @@ _types = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda t: gcd(*t
 @example(Y ** 3 - 2 + X * Y, X ** 2 + Fraction(1, 3) + Y ** 2 * 5, (1, 1))
 def test_edge_hamiltonian_splits_the_restricted_field(p, q, t):
     """On every line t1*x + t2*y = w, hit or missed, the split read from the
-    support map equals the split of the field restricted the old way: P's
-    terms of quasi-degree w - t2 and Q's of quasi-degree w - t1."""
+    support map rebuilds the field restricted the old way: P's terms of
+    quasi-degree w - t2 and Q's of quasi-degree w - t1."""
     field = PlanarField(p, q)
     assume(not field.is_zero)
     t1, t2 = t
@@ -215,22 +279,18 @@ def test_edge_hamiltonian_splits_the_restricted_field(p, q, t):
         assert den > 0, f"from_numerators reached with denominator {den}"
         return real(num, den)
 
-    def outcome(call, *args):
-        try:
-            return call(*args)
-        except ValueError as err:
-            return str(err)
-
     with mock.patch.object(BivarPoly, "from_numerators", staticmethod(positive_den_only)):
         for w in range(-2, top + 3):
             part = PlanarField(
                 BivarPoly({(i, j): c for (i, j), c in p.terms() if t1 * i + t2 * j == w - t2}),
                 BivarPoly({(i, j): c for (i, j), c in q.terms() if t1 * i + t2 * j == w - t1}))
             want = (f"line {t1}*x + {t2}*y = {w} misses the support of the field" if part.is_zero
-                    else outcome(split, part, w - t1 - t2, t))
-            got = outcome(edge_hamiltonian, coeffs, den, t, w)
-            rebuilt = got.reconstruct() if isinstance(got, SplitField) else part
-            assert (got, rebuilt) == (want, part)
+                    else "splitting is undefined when k + t1 + t2 = 0" if w == 0 else part)
+            try:
+                got = reconstruct(*edge_hamiltonian(coeffs, den, t, w), t)
+            except ValueError as err:
+                got = str(err)
+            assert got == want
 
 
 def test_inner_beta_errors():
