@@ -10,7 +10,8 @@ where R* is (u^2+v^2)^d R(u/(u^2+v^2), v/(u^2+v^2)).  In support
 coordinates (field.vector_coefficients) this needs no per-component code:
 a support point (x, y) of X holding (a, b) becomes (a - 2b, -b) at
 (x, y + 2) and (-a, b - 2a) at (x + 2, y), times (u^2 + v^2)^m with the
-circle power m = d + 1 - x - y.
+circle power m = d + 1 - x - y.  compactify reads X's map and returns the
+field that keeps b(X)'s map: its p and q are formed only when read.
 
 The behaviour of X in the large is then readable at the origin of b(X):
 that is where the injectivity certificate looks.  Only the terms on or
@@ -58,7 +59,8 @@ def compactify_lower(x_field: PlanarField) -> PlanarField:
 
 
 def _transformed(x_field: PlanarField, lower: bool) -> PlanarField:
-    """_compactified on the field's support map, back as a field."""
+    """_compactified on the field's support map, back as the field that keeps
+    the map it returns, over the same denominator."""
     if x_field.is_zero:
         return ZERO_FIELD
     coeffs, den = vector_coefficients(x_field)

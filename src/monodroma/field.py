@@ -13,6 +13,11 @@ read straight off the energy H = (f^2 + g^2)/2: with h the integer numerators
 of H, the point (i, j) holds (-j*h_ij, i*h_ij).  The Newton diagram splits
 each of its edges from this map (diagram.edge_hamiltonian).
 
+A PlanarField holds either form, (p, q) or the map, and derives the other
+once, on first need.  So one map runs from the energy through compactify to
+build_diagram and support, and no stage normalises b(X) into p and q unless
+its components are read.
+
 common_real_linear_factors serves the 2016 comparison (pipeline.cima_condition).
 """
 
@@ -27,16 +32,66 @@ from .polycore import BivarPoly, Monomial, Scalar, ZeroPolynomialError, _normali
 from .realroots import dehomogenize, nonzero_real_roots, poly_gcd
 
 
-@dataclass(frozen=True)
-class PlanarField:
-    """A polynomial vector field (p, q) on the plane."""
+# {(x, y): (a, b)} integer numerators over one denominator, as vector_coefficients returns.
+SupportMap = Mapping[tuple[int, int], Sequence[int]]
 
-    p: BivarPoly
-    q: BivarPoly
+
+class PlanarField:
+    """A polynomial vector field (p, q) on the plane.
+
+    A field keeps the form it was built in: its components p and q, or its
+    support map (coeffs, den) of vector_coefficients, which the stages that
+    build fields from maps (hamiltonian_field, compactify, compactify_lower,
+    Certificate.hamiltonian and .compactified) store as they are.  The other
+    form is derived once, on first need, and kept beside it: p and q
+    normalise the map on their first read, and vector_coefficients reads the
+    map off p and q on its first call.  Equality, hashing and repr go by p
+    and q, whichever form the field was built in.
+    """
+
+    __slots__ = ("_pq", "_support")
+
+    def __init__(self, p: BivarPoly, q: BivarPoly) -> None:
+        object.__setattr__(self, "_pq", (p, q))
+        object.__setattr__(self, "_support", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("PlanarField is immutable")
+
+    def _components(self) -> tuple[BivarPoly, BivarPoly]:
+        """(p, q), normalised from the support map on first need."""
+        if self._pq is None:
+            coeffs, den = self._support
+            p = {(x, y - 1): a for (x, y), (a, _) in coeffs.items()}
+            q = {(x - 1, y): b for (x, y), (_, b) in coeffs.items()}
+            object.__setattr__(self, "_pq", (_normalise(p, den), _normalise(q, den)))
+        return self._pq
+
+    def _support_map(self) -> tuple[SupportMap, int]:
+        """The support map of a nonzero field, read off p and q on first need."""
+        if self._support is None:
+            (p, p_den), (q, q_den) = self._pq[0].numerators(), self._pq[1].numerators()
+            den = lcm(p_den, q_den)
+            p_scale, q_scale = den // p_den, den // q_den
+            coeffs = {(i, j + 1): [n * p_scale, 0] for (i, j), n in p.items()}
+            for (i, j), n in q.items():
+                coeffs.setdefault((i + 1, j), [0, 0])[1] = n * q_scale
+            object.__setattr__(self, "_support", (coeffs, den))
+        return self._support
+
+    @property
+    def p(self) -> BivarPoly:
+        return self._components()[0]
+
+    @property
+    def q(self) -> BivarPoly:
+        return self._components()[1]
 
     @property
     def is_zero(self) -> bool:
-        return self.p.is_zero and self.q.is_zero
+        if self._support is not None:  # a map holds no point with entries (0, 0)
+            return not self._support[0]
+        return self._pq[0].is_zero and self._pq[1].is_zero
 
     def evaluate(self, x: Scalar, y: Scalar) -> tuple[Fraction, Fraction]:
         return self.p.evaluate(x, y), self.q.evaluate(x, y)
@@ -48,10 +103,23 @@ class PlanarField:
         degs = [c.total_degree() for c in (self.p, self.q) if not c.is_zero]
         return max(degs)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._components() == other._components()
+
+    def __hash__(self) -> int:
+        return hash(self._components())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(p={self.p!r}, q={self.q!r})"
+
+    def __reduce__(self):
+        # __setattr__ refuses the slot-by-slot restore that copy would do.
+        return PlanarField, self._components()
+
 
 ZERO_FIELD = PlanarField(BivarPoly.zero(), BivarPoly.zero())
-# {(x, y): (a, b)} integer numerators over one denominator, as vector_coefficients returns.
-SupportMap = Mapping[tuple[int, int], Sequence[int]]
 
 
 def hamiltonian_field(f: BivarPoly, g: BivarPoly) -> PlanarField:
@@ -92,27 +160,25 @@ class SupportPoint:
     coeff: tuple[Fraction, Fraction]
 
 
-def vector_coefficients(x_field: PlanarField) -> tuple[dict[tuple[int, int], list[int]], int]:
+def vector_coefficients(x_field: PlanarField) -> tuple[SupportMap, int]:
     """{(x, y): [a, b]} on supp(X), a from p at (x, y - 1) and b from q at (x - 1, y),
-    as integer numerators over one positive denominator.  Error on the zero field."""
+    as integer numerators over one positive denominator, not necessarily in
+    lowest terms; no point holds (0, 0).  The map is the field's own, shared
+    by every call: read-only.  Error on the zero field."""
     if x_field.is_zero:
         raise ZeroPolynomialError("support of the zero field")
-    (p, p_den), (q, q_den) = x_field.p.numerators(), x_field.q.numerators()
-    den = lcm(p_den, q_den)
-    p_scale, q_scale = den // p_den, den // q_den
-    coeffs = {(i, j + 1): [n * p_scale, 0] for (i, j), n in p.items()}
-    for (i, j), n in q.items():
-        coeffs.setdefault((i + 1, j), [0, 0])[1] = n * q_scale
-    return coeffs, den
+    return x_field._support_map()
 
 
 def _field_from_support(coeffs: SupportMap, den: int) -> PlanarField:
-    """The inverse of vector_coefficients: a goes to p at (x, y - 1) and b to q at
-    (x - 1, y), each over den > 0; zero entries are dropped.  The exponents are
-    not scanned: the caller has kept them within MAX_EXPONENT."""
-    p = {(x, y - 1): a for (x, y), (a, _) in coeffs.items() if a}
-    q = {(x - 1, y): b for (x, y), (_, b) in coeffs.items() if b}
-    return PlanarField(_normalise(p, den), _normalise(q, den))
+    """The inverse of vector_coefficients: the field that keeps the map (coeffs, den)
+    itself, den > 0, no point holding (0, 0); p and q are formed on first read.
+    Neither the map is copied nor its exponents scanned: the caller hands it
+    over and has kept the exponents within MAX_EXPONENT."""
+    x_field = PlanarField.__new__(PlanarField)
+    object.__setattr__(x_field, "_pq", None)
+    object.__setattr__(x_field, "_support", (coeffs, den))
+    return x_field
 
 
 def support(x_field: PlanarField) -> list[SupportPoint]:

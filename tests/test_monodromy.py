@@ -155,3 +155,49 @@ def test_monodromic_verdict_consistent_with_winding_oracle():
         result = winding(field, start)
         assert result.status == "returned"
         assert abs(abs(result.angle) - 2 * math.pi) < 1e-2
+
+
+def test_condition_texts_are_pinned():
+    """The exact detail, witnesses and reason of each failure shape: a
+    mutant that changes only a text must fail here."""
+    # (b) passes and fails on the sign of a*b.
+    verdict = verdict_for(compactify(PlanarField(-V, U)))
+    assert verdict.condition("b").detail == "exterior coefficients a = -1, b = 1, a*b = -1 < 0"
+    verdict = verdict_for(PlanarField(V, U))  # the saddle: vertices (0, 2) and (2, 0)
+    report = verdict.condition("b")
+    assert not report.passed
+    assert report.detail == "exterior coefficients a = 1, b = 1, a*b = 1 >= 0"
+    assert report.witnesses == ()
+    # (b) with one exterior vertex, and (c) beside an unbounded edge.
+    verdict = verdict_for(PlanarField(V ** 2, U * V))
+    report = verdict.condition("b")
+    assert report.detail == "expected exactly two exterior vertices, found 1"
+    assert report.witnesses == ("(0, 3)",)
+    report = verdict.condition("c")
+    assert report.detail == "beta((2, 1)) undefined: adjacent edge is unbounded"
+    assert report.witnesses == ("beta((2, 1)) undefined: adjacent edge is unbounded",)
+    assert verdict_for(PlanarField(U, V)).condition("b").detail == (
+        "expected exactly two exterior vertices, found 0")
+    # A radial edge between two bounded ones: h = 0 and mu != 0 on x + y = 4.
+    verdict = verdict_for(PlanarField((U ** 2 + V ** 2) * U + V ** 7,
+                                      (U ** 2 + V ** 2) * V + U ** 7))
+    assert verdict.outcome == NOT_MONODROMIC
+    assert verdict.reason == ("bounded edge of type (1,1) on 1*x + 1*y = 4 has h = 0 and "
+                              "mu != 0: the origin is a node")
+    null = "undefined: adjacent edge Hamiltonian is null"
+    assert verdict.condition("c").witnesses == (f"beta((1, 3)) {null}", f"beta((3, 1)) {null}")
+    assert verdict.condition("c").detail == f"beta((1, 3)) {null}; beta((3, 1)) {null}"
+    assert verdict.condition("d").witnesses == (
+        "bounded edge of type (5,1) on 5*x + 1*y = 8 has factor v^5 - a*u^1: a = 4",
+        "bounded edge of type (1,1) on 1*x + 1*y = 4 has a null Hamiltonian",
+        "bounded edge of type (1,5) on 1*x + 5*y = 8 has factor v^1 - a*u^5: a = 1/4")
+    # Unbounded edges count for the node rule, each in the reason.
+    verdict = verdict_for(PlanarField(U * V, U * V))
+    assert verdict.reason == (
+        "unbounded edge of type (1,0) on 1*x + 0*y = 1 has h = 0 and mu != 0: the origin is a node; "
+        "unbounded edge of type (0,1) on 0*x + 1*y = 1 has h = 0 and mu != 0: the origin is a node")
+    # The parabolic sector, with the beta that shows it.
+    verdict = verdict_for(PlanarField(V ** 5 + U ** 2 * V ** 3 * 3, U * V ** 4 * 4 + U ** 7))
+    assert verdict.reason == "beta = -1/96 < 0 at inner vertex (2, 4): parabolic sector at the origin"
+    assert verdict.condition("c").detail == "beta((2, 4)) = -1/96"
+    assert verdict.condition("c").witnesses == ("beta((2, 4)) = -1/96",)

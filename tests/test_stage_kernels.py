@@ -5,7 +5,8 @@ normalise once per output polynomial; dehomogenize reads quasi-homogeneity
 off the set of weighted degrees.  The references below are the definitions
 written with BivarPoly operators, which normalise after every step.
 certify's route, one support map from the energy's numerators to the
-Newton diagram, is checked against the public PlanarField stages.
+Newton diagram, is checked against the public PlanarField stages, and those
+stages are checked to pass one map along without forming p and q.
 """
 
 from fractions import Fraction
@@ -23,10 +24,13 @@ from monodroma import (
     compactify_lower,
     hamiltonian_field,
     jacobian_det,
+    render_ascii,
+    support,
 )
+from monodroma import field as field_module
 from monodroma.bendixson import _compactified
 from monodroma.diagram import _diagram
-from monodroma.field import _energy, _energy_support, vector_coefficients
+from monodroma.field import _energy, _energy_support, support_points, vector_coefficients
 from monodroma.polycore import (MAX_EXPONENT, ExponentOverflowError, _square_numerators,
                                 mul_monomial, mul_numerators)
 from monodroma.realroots import UniPoly, dehomogenize
@@ -168,6 +172,45 @@ def test_support_route_equals_the_field_stages(f, g):
         assert cert.diagram == build_diagram(compactify_lower(x_field))
         assert cert.hamiltonian == x_field
         assert cert.compactified == compactify(x_field)
+
+
+def test_diagram_stages_leave_b_unformed(monkeypatch):
+    """monodroma diagram's stages hand one support map from h to the picture:
+    b(X)'s p and q are formed on their first read, both at once, and never
+    again."""
+    f, g = X + (Y + X ** 2) ** 3, Y + X ** 2  # the full_field sweep at k = 3
+    reference = compactify(reference_field(f, g))
+    expected = reference.p, reference.q
+    formed = []
+    normalise = field_module._normalise
+    monkeypatch.setattr(field_module, "_normalise",
+                        lambda num, den: formed.append(den) or normalise(num, den))
+    b_field = compactify(hamiltonian_field(f, g))
+    points = support_points(b_field)
+    picture = render_ascii(build_diagram(b_field), points)
+    assert "V" in picture
+    assert [sp.point for sp in support(b_field)] == sorted(points)  # the benchmark's route
+    assert formed == []
+    assert (b_field.p, b_field.q) == expected
+    assert b_field.p == expected[0]
+    assert len(formed) == 2
+
+
+def test_components_give_their_map_once(monkeypatch):
+    """A PlanarField(p, q) reads its map off p and q on the first call and
+    keeps it: monodroma monodromy calls build_diagram, then support_points."""
+    x_field = PlanarField(Y ** 5 + X ** 2 * Y ** 3 * 3, X * Y ** 4 * 4 + X ** 7)
+    dia = build_diagram(x_field)
+    coeffs, den = vector_coefficients(x_field)
+
+    def unread(*args):
+        raise AssertionError("p and q read again")
+
+    monkeypatch.setattr(BivarPoly, "numerators", unread)
+    assert support_points(x_field) == set(coeffs) == {(0, 6), (2, 4), (8, 0)}
+    assert vector_coefficients(x_field)[0] is coeffs
+    assert dia.vertex_points() == [(0, 6), (2, 4), (8, 0)]
+    assert den > 0 and all(a or b for a, b in coeffs.values())
 
 
 _numerators = st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
