@@ -153,13 +153,9 @@ def _highest_coeff(h: BivarPoly, axis: int) -> Fraction:
 
 
 def build_diagram(x_field: PlanarField) -> NewtonDiagram:
-    """Newton diagram of a nonzero field, with edge splittings and betas."""
-    return _diagram(*vector_coefficients(x_field))
-
-
-def _diagram(coeffs: SupportMap, den: int) -> NewtonDiagram:
-    """build_diagram on a nonzero field's support map over den > 0, at any
-    scaling, with no point holding (0, 0)."""
+    """Newton diagram of a nonzero field, with edge splittings and betas, read
+    off its support map at whatever scaling the field stores."""
+    coeffs, den = vector_coefficients(x_field)
     vertices = tuple(Vertex(pt, (Fraction(coeffs[pt][0], den), Fraction(coeffs[pt][1], den)),
                             "exterior" if 0 in pt else "inner")
                      for pt in newton_chain(coeffs))

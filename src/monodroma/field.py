@@ -7,16 +7,16 @@ field of (f^2 + g^2)/2 is
 
 Support points of a field are read off the shifted products y*P and x*Q, so
 each lattice point (x, y) carries a vector coefficient (a, b), a from P at
-(x, y-1) and b from Q at (x-1, y): vector_coefficients reads this map and
+(x, y-1) and b from Q at (x-1, y): vector_coefficients returns this map and
 _field_from_support, its inverse, builds a field from it.  For X that map is
 read straight off the energy H = (f^2 + g^2)/2: with h the integer numerators
 of H, the point (i, j) holds (-j*h_ij, i*h_ij).  The Newton diagram splits
 each of its edges from this map (diagram.edge_hamiltonian).
 
-A PlanarField holds either form, (p, q) or the map, and derives the other
-once, on first need.  So one map runs from the energy through compactify to
-build_diagram and support, and no stage normalises b(X) into p and q unless
-its components are read.
+A PlanarField stores its support map, and p and q beside it once formed.
+So one map runs from the energy through compactify to build_diagram and
+support, and no stage normalises b(X) into p and q unless its components
+are read.
 
 common_real_linear_factors serves the 2016 comparison (pipeline.cima_condition).
 """
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .polycore import BivarPoly, Monomial, Scalar, ZeroPolynomialError, _normalise, _square_numerators
+from .polycore import BivarPoly, Scalar, ZeroPolynomialError, _normalise, _square_numerators
 from .realroots import dehomogenize, nonzero_real_roots, poly_gcd
 
 
@@ -39,21 +39,24 @@ SupportMap = Mapping[tuple[int, int], Sequence[int]]
 class PlanarField:
     """A polynomial vector field (p, q) on the plane.
 
-    A field keeps the form it was built in: its components p and q, or its
-    support map (coeffs, den) of vector_coefficients, which the stages that
-    build fields from maps (hamiltonian_field, compactify, compactify_lower,
-    Certificate.hamiltonian and .compactified) store as they are.  The other
-    form is derived once, on first need, and kept beside it: p and q
-    normalise the map on their first read, and vector_coefficients reads the
-    map off p and q on its first call.  Equality, hashing and repr go by p
-    and q, whichever form the field was built in.
+    A field stores its support map (coeffs, den) of vector_coefficients.
+    PlanarField(p, q) reads the map off p and q and keeps them beside it;
+    the stages that build fields from maps (hamiltonian_field, compactify,
+    compactify_lower) store the map as handed over, and p and q normalise
+    it on their first read.  Equality, hashing and repr go by p and q.
     """
 
     __slots__ = ("_pq", "_support")
 
     def __init__(self, p: BivarPoly, q: BivarPoly) -> None:
+        (pn, p_den), (qn, q_den) = p.numerators(), q.numerators()
+        den = lcm(p_den, q_den)
+        p_scale, q_scale = den // p_den, den // q_den
+        coeffs = {(i, j + 1): [n * p_scale, 0] for (i, j), n in pn.items()}
+        for (i, j), n in qn.items():
+            coeffs.setdefault((i + 1, j), [0, 0])[1] = n * q_scale
+        object.__setattr__(self, "_support", (coeffs, den))
         object.__setattr__(self, "_pq", (p, q))
-        object.__setattr__(self, "_support", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PlanarField is immutable")
@@ -67,18 +70,6 @@ class PlanarField:
             object.__setattr__(self, "_pq", (_normalise(p, den), _normalise(q, den)))
         return self._pq
 
-    def _support_map(self) -> tuple[SupportMap, int]:
-        """The support map of a nonzero field, read off p and q on first need."""
-        if self._support is None:
-            (p, p_den), (q, q_den) = self._pq[0].numerators(), self._pq[1].numerators()
-            den = lcm(p_den, q_den)
-            p_scale, q_scale = den // p_den, den // q_den
-            coeffs = {(i, j + 1): [n * p_scale, 0] for (i, j), n in p.items()}
-            for (i, j), n in q.items():
-                coeffs.setdefault((i + 1, j), [0, 0])[1] = n * q_scale
-            object.__setattr__(self, "_support", (coeffs, den))
-        return self._support
-
     @property
     def p(self) -> BivarPoly:
         return self._components()[0]
@@ -89,9 +80,7 @@ class PlanarField:
 
     @property
     def is_zero(self) -> bool:
-        if self._support is not None:  # a map holds no point with entries (0, 0)
-            return not self._support[0]
-        return self._pq[0].is_zero and self._pq[1].is_zero
+        return not self._support[0]  # a map holds no point with entries (0, 0)
 
     def evaluate(self, x: Scalar, y: Scalar) -> tuple[Fraction, Fraction]:
         return self.p.evaluate(x, y), self.q.evaluate(x, y)
@@ -123,17 +112,11 @@ ZERO_FIELD = PlanarField(BivarPoly.zero(), BivarPoly.zero())
 
 
 def hamiltonian_field(f: BivarPoly, g: BivarPoly) -> PlanarField:
-    """Hamiltonian vector field (-H_y, H_x) of H = (f^2 + g^2)/2, built from
-    _energy's numerators.  ExponentOverflowError when a square's exponent
-    would pass MAX_EXPONENT."""
-    h, den = _energy(f, g)
-    return _field_from_support(_energy_support(h), den)
-
-
-def _energy(f: BivarPoly, g: BivarPoly) -> tuple[dict[Monomial, int], int]:
-    """(h, 2L^2): H = (f^2 + g^2)/2 as the sum h of the squared integer
-    numerators of f and g over L = lcm(den f, den g), unreduced: h may hold
-    zero entries where the squares cancel.  ExponentOverflowError when a
+    """Hamiltonian vector field (-H_y, H_x) of H = (f^2 + g^2)/2, read off H's
+    integer numerators h: the sum of the squared numerators of f and g over
+    L = lcm(den f, den g), so H = h/(2L^2), with zero entries where the
+    squares cancel.  X's support map holds (-j*n, i*n) at each point (i, j)
+    where h holds n, both entries 0 left out.  ExponentOverflowError when a
     square's exponent would pass MAX_EXPONENT, f's square checked first."""
     (nf, df), (ng, dg) = f.numerators(), g.numerators()
     den = lcm(df, dg)
@@ -143,13 +126,8 @@ def _energy(f: BivarPoly, g: BivarPoly) -> tuple[dict[Monomial, int], int]:
     h = _square_numerators(nf)
     for key, n in _square_numerators(ng).items():
         h[key] = h.get(key, 0) + n
-    return h, 2 * den * den
-
-
-def _energy_support(h: Mapping[Monomial, int]) -> dict[tuple[int, int], list[int]]:
-    """The support map of X = (-H_y, H_x), over h's denominator: (-j*n, i*n)
-    at each point (i, j) where h holds n, both entries 0 left out."""
-    return {(i, j): [-j * n, i * n] for (i, j), n in h.items() if n and (i or j)}
+    return _field_from_support({(i, j): [-j * n, i * n] for (i, j), n in h.items() if n and (i or j)},
+                               2 * den * den)
 
 
 @dataclass(frozen=True)
@@ -167,11 +145,11 @@ def vector_coefficients(x_field: PlanarField) -> tuple[SupportMap, int]:
     by every call: read-only.  Error on the zero field."""
     if x_field.is_zero:
         raise ZeroPolynomialError("support of the zero field")
-    return x_field._support_map()
+    return x_field._support
 
 
 def _field_from_support(coeffs: SupportMap, den: int) -> PlanarField:
-    """The inverse of vector_coefficients: the field that keeps the map (coeffs, den)
+    """The inverse of vector_coefficients: the field that stores the map (coeffs, den)
     itself, den > 0, no point holding (0, 0); p and q are formed on first read.
     Neither the map is copied nor its exponents scanned: the caller hands it
     over and has kept the exponents within MAX_EXPONENT."""

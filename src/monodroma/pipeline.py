@@ -26,13 +26,9 @@ from operator import itemgetter
 from typing import Mapping, Optional
 
 from .polycore import BivarPoly, Monomial, mul_numerators
-from .field import (PlanarField, _energy, _energy_support, _field_from_support,
-                    common_real_linear_factors, hamiltonian_field)
-from .bendixson import _compactified, compactify
-from .diagram import NewtonDiagram, _diagram
-# Not called here: tracers wrap the name monodroma.pipeline.build_diagram and
-# read the field it is given (bench/spans.py).
-from .diagram import build_diagram  # noqa: F401
+from .field import PlanarField, common_real_linear_factors, hamiltonian_field
+from .bendixson import compactify, compactify_lower
+from .diagram import NewtonDiagram, build_diagram
 from .monodromy import MONODROMIC, MonodromyVerdict, check_monodromic
 from .realroots import FactorWitness
 
@@ -201,28 +197,20 @@ def cima_condition(f: BivarPoly, g: BivarPoly) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Full record of one certification run.  certify reads the Newton
-    diagram off the energy's numerators (h, den) alone, so ``hamiltonian``,
-    the field X, and ``compactified``, the full b(X) for auditors and
-    numeric cross-checks, are built from them lazily, on first access,
-    outside the timed stages."""
+    """Full record of one certification run.  ``hamiltonian`` is the field X
+    that certify read the diagram from, holding its support map;
+    ``compactified``, the full b(X) for auditors and numeric cross-checks,
+    is built from it lazily, on first access, outside the timed stages."""
 
     f: BivarPoly
     g: BivarPoly
     verdict: str
     reason: Optional[str]
     det_status: DetStatus
-    _energy_numerators: Optional[tuple[Mapping[Monomial, int], int]] = dataclass_field(repr=False)
+    hamiltonian: Optional[PlanarField] = dataclass_field(repr=False)
     diagram: Optional[NewtonDiagram]
     monodromy: Optional[MonodromyVerdict]
     timings_ms: dict[str, float] = dataclass_field(default_factory=dict)
-
-    @cached_property
-    def hamiltonian(self) -> Optional[PlanarField]:
-        if self._energy_numerators is None:
-            return None
-        h, den = self._energy_numerators
-        return _field_from_support(_energy_support(h), den)
 
     @cached_property
     def compactified(self) -> Optional[PlanarField]:
@@ -241,11 +229,11 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
         timings[stage] = (time.perf_counter() - start) * 1000.0
 
     def finish(verdict: str, reason: Optional[str], det: DetStatus,
-               energy: Optional[tuple[Mapping[Monomial, int], int]] = None,
+               x_field: Optional[PlanarField] = None,
                dia: Optional[NewtonDiagram] = None,
                mono: Optional[MonodromyVerdict] = None) -> Certificate:
         timings["total"] = (time.perf_counter() - start_total) * 1000.0
-        return Certificate(f, g, verdict, reason, det, energy, dia, mono, timings)
+        return Certificate(f, g, verdict, reason, det, x_field, dia, mono, timings)
 
     if f.is_zero and g.is_zero:
         return finish(NOT_APPLICABLE, "zero map: the Hamiltonian field vanishes identically",
@@ -270,19 +258,18 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
         return finish(NOT_APPLICABLE,
                       f"Jacobian determinant vanishes ({det_status.detail})", det_status)
 
-    # One support map from here to the diagram: X's, read off h, then b(X)'s
-    # terms on or below the segment of the axis hits, all over den.
+    # One support map from here to the diagram: X's, read off the energy's
+    # numerators, then b(X)'s terms on or below the segment of the axis hits.
     start = time.perf_counter()
-    h, den = _energy(f, g)
-    x_support = _energy_support(h)
+    x_field = hamiltonian_field(f, g)
     done("hamiltonian_field", start)
 
     start = time.perf_counter()
-    b_support = _compactified(x_support, lower=True)
+    b_field = compactify_lower(x_field)
     done("compactify", start)
 
     start = time.perf_counter()
-    dia = _diagram(b_support, den)
+    dia = build_diagram(b_field)
     done("diagram", start)
 
     start = time.perf_counter()
@@ -297,7 +284,7 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
     else:
         verdict = INCONCLUSIVE
         reason = f"monodromy: {mono.outcome}" + (f" ({mono.reason})" if mono.reason else "")
-    return finish(verdict, reason, det_status, (h, den), dia, mono)
+    return finish(verdict, reason, det_status, x_field, dia, mono)
 
 
 # -- JSON serialization --------------------------------------------------------

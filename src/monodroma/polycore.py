@@ -70,6 +70,10 @@ class BivarPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BivarPoly is immutable")
 
+    def __reduce__(self):
+        # __setattr__ refuses the slot-by-slot restore that copy and pickle would do.
+        return BivarPoly.from_numerators, (dict(self._num), self._den)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -71,6 +71,10 @@ class UniPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UniPoly is immutable")
 
+    def __reduce__(self):
+        # __setattr__ refuses the slot-by-slot restore that copy and pickle would do.
+        return UniPoly, (self._coeffs,)
+
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs

@@ -1,8 +1,8 @@
 """A PlanarField built from its support map against the same field built
-from (p, q): every public reading agrees, whichever form a field holds.
+from (p, q): every public reading agrees, whichever way a field was built.
 
-Each reading is taken on a fresh instance, so that no reading sees a form
-that an earlier one derived: the map-built side is read from its map alone.
+Each reading is taken on a fresh instance, so that no reading sees p and q
+that an earlier one formed: the map-built side is read from its map alone.
 """
 
 import copy

@@ -1,9 +1,11 @@
 """End-to-end pipeline tests: determinant analysis, the coprime leading-form
 check, certify() verdict paths, and JSON certificates."""
 
+import copy
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -31,6 +33,7 @@ import monodroma
 from monodroma import cli
 from monodroma import (
     BivarPoly,
+    PlanarField,
     build_diagram,
     certify,
     cima_condition,
@@ -54,7 +57,7 @@ from monodroma.pipeline import (
     VANISHES,
     DetStatus,
 )
-from monodroma.realroots import dehomogenize, sturm_count
+from monodroma.realroots import UniPoly, dehomogenize, sturm_count
 
 X = BivarPoly.monomial(1, 0)
 Y = BivarPoly.monomial(0, 1)
@@ -590,6 +593,30 @@ def test_certificate_keeps_the_full_compactified_field():
     assert cert.compactified == full
     assert cert.diagram == build_diagram(full) == build_diagram(lower)
     assert certify(BivarPoly.zero(), BivarPoly.zero()).compactified is None
+
+
+_ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROUND_TRIPS))
+def test_value_types_copy_and_pickle(name):
+    round_trip = _ROUND_TRIPS[name]
+    f, g = monodroma.parse_map("f = x + x^3; g = y + x^2")
+    for value in (f, BivarPoly.zero(), UniPoly([Fraction(1, 2), -3]), UniPoly(),
+                  hamiltonian_field(f, g), PlanarField(-Y, X)):
+        assert round_trip(value) == value, value
+    cert = certify(f, g)
+    copied = round_trip(cert)
+    assert copied.hamiltonian == cert.hamiltonian
+    assert copied.compactified == cert.compactified
+    docs = [c.to_json_dict() for c in (cert, copied)]
+    for doc in docs:
+        del doc["timings_ms"]
+    assert docs[0] == docs[1]
 
 
 def test_oracle_winding_integrates_the_full_field(capsys):

@@ -4,9 +4,9 @@ hamiltonian_field and jacobian_det compute on integer numerators and
 normalise once per output polynomial; dehomogenize reads quasi-homogeneity
 off the set of weighted degrees.  The references below are the definitions
 written with BivarPoly operators, which normalise after every step.
-certify's route, one support map from the energy's numerators to the
-Newton diagram, is checked against the public PlanarField stages, and those
-stages are checked to pass one map along without forming p and q.
+certify's diagram and fields are checked against the public PlanarField
+stages, and those stages are checked to pass one support map along without
+forming p and q.
 """
 
 from fractions import Fraction
@@ -28,9 +28,7 @@ from monodroma import (
     support,
 )
 from monodroma import field as field_module
-from monodroma.bendixson import _compactified
-from monodroma.diagram import _diagram
-from monodroma.field import _energy, _energy_support, support_points, vector_coefficients
+from monodroma.field import support_points, vector_coefficients
 from monodroma.polycore import (MAX_EXPONENT, ExponentOverflowError, _square_numerators,
                                 mul_monomial, mul_numerators)
 from monodroma.realroots import UniPoly, dehomogenize
@@ -125,16 +123,7 @@ def test_exponent_guard_messages_are_pinned():
         assert str(err.value) == "exponent 4611686018427387905 exceeds 4611686018427387904"
 
 
-# -- certify's route: one support map from h to the diagram ---------------------
-
-
-def _route_diagram(f: BivarPoly, g: BivarPoly):
-    h, den = _energy(f, g)
-    return _diagram(_compactified(_energy_support(h), lower=True), den)
-
-
-def _fractions(coeffs, den):
-    return {pt: (Fraction(a, den), Fraction(b, den)) for pt, (a, b) in coeffs.items()}
+# -- certify's route: one support map from X to the diagram ---------------------
 
 
 def _without_constant(p: BivarPoly) -> BivarPoly:
@@ -148,20 +137,12 @@ def _without_constant(p: BivarPoly) -> BivarPoly:
 @example(BivarPoly.zero(), Y ** 2 * Fraction(-2, 9))
 @example(BivarPoly.zero(), BivarPoly.zero())
 @example(X ** 3 * Y * Fraction(-5, 6), Y ** 2 * Fraction(7, 9))
-@example(BivarPoly.const(Fraction(2, 3)), BivarPoly.zero())  # X = 0: no support
+@example(BivarPoly.const(Fraction(2, 3)), BivarPoly.zero())  # the zero map once its constant goes
 @example(X + Y, X - Y)
 @example(X + Y ** 5, Y)  # both axis hits: the lower terms only
 def test_support_route_equals_the_field_stages(f, g):
-    h, den = _energy(f, g)
-    x_field = hamiltonian_field(f, g)
-    coeffs = _energy_support(h)
-    if x_field.is_zero:  # f and g constant: certify has refused such a map
-        assert coeffs == {}
-    else:
-        assert _fractions(coeffs, den) == _fractions(*vector_coefficients(x_field))
-        assert _route_diagram(f, g) == build_diagram(compactify_lower(x_field))
-    # certify takes the same route on the map with its constants removed,
-    # and on its sum with the identity, whose determinant is rarely zero.
+    # certify runs the stages on the map with its constants removed, and on
+    # its sum with the identity, whose determinant is rarely zero.
     f, g = _without_constant(f), _without_constant(g)
     for f, g in ((f, g), (f + X, g + Y)):
         cert = certify(f, g, assume_det=True)
@@ -197,16 +178,21 @@ def test_diagram_stages_leave_b_unformed(monkeypatch):
 
 
 def test_components_give_their_map_once(monkeypatch):
-    """A PlanarField(p, q) reads its map off p and q on the first call and
-    keeps it: monodroma monodromy calls build_diagram, then support_points."""
-    x_field = PlanarField(Y ** 5 + X ** 2 * Y ** 3 * 3, X * Y ** 4 * 4 + X ** 7)
-    dia = build_diagram(x_field)
-    coeffs, den = vector_coefficients(x_field)
+    """A PlanarField(p, q) reads its map off p and q when it is built and
+    keeps it: monodroma monodromy calls build_diagram, then support_points,
+    and neither reads p or q again."""
+    p, q = Y ** 5 + X ** 2 * Y ** 3 * 3, X * Y ** 4 * 4 + X ** 7
+    x_field = PlanarField(p, q)
+    numerators = BivarPoly.numerators
 
-    def unread(*args):
-        raise AssertionError("p and q read again")
+    def unread(poly):
+        if poly is p or poly is q:
+            raise AssertionError("p and q read again")
+        return numerators(poly)  # the edge Hamiltonians' are read for beta
 
     monkeypatch.setattr(BivarPoly, "numerators", unread)
+    dia = build_diagram(x_field)
+    coeffs, den = vector_coefficients(x_field)
     assert support_points(x_field) == set(coeffs) == {(0, 6), (2, 4), (8, 0)}
     assert vector_coefficients(x_field)[0] is coeffs
     assert dia.vertex_points() == [(0, 6), (2, 4), (8, 0)]
