@@ -16,7 +16,7 @@ from .bendixson import DegenerateTransformError, compactify, compactify_lower
 from .diagram import build_diagram
 from .realroots import quasi_factor_test
 from .monodromy import check_monodromic
-from .pipeline import Certificate, certify, cima_condition, det_nonvanishing_heuristic, jacobian_det
+from .pipeline import Certificate, certify, det_nonvanishing_heuristic, jacobian_det
 from .render import render_ascii, render_svg
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "build_diagram",
     "certify",
     "check_monodromic",
-    "cima_condition",
     "compactify",
     "compactify_lower",
     "det_nonvanishing_heuristic",

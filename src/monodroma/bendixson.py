@@ -54,7 +54,7 @@ def compactify(x_field: PlanarField) -> PlanarField:
 def compactify_lower(x_field: PlanarField) -> PlanarField:
     """The terms of b(X) on or below the segment of the module docstring,
     with their full coefficients, or all of b(X) when an axis hit is
-    missing.  Certificate.compactified keeps the full b(X), built lazily."""
+    missing.  Certificate.compactified keeps the full b(X), rebuilt from f and g."""
     return _transformed(x_field, lower=True)
 
 

@@ -72,7 +72,7 @@ def _print_certificate(cert, cima: Optional[bool], windings: list) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     f, g = parse_map(args.map)
     cert = certify(f, g, assume_det=args.assume_det)
-    cima, windings = None, []
+    cima, windings, oracle_ms = None, [], 0.0
     if args.with_oracle and cert.compactified is not None:
         try:
             from . import oracle
@@ -83,10 +83,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         cima = cima_condition(f, g)
         windings = [(r, oracle.winding(cert.compactified, (r, 0.0))) for r in (0.05, 0.1, 0.3)]
-        cert.timings_ms["oracle"] = (time.perf_counter() - start) * 1000.0
+        oracle_ms = (time.perf_counter() - start) * 1000.0
     if args.json:
         doc = cert.to_json_dict()
         if windings:
+            doc["timings_ms"]["oracle"] = oracle_ms
             doc["oracle"] = {"cima_condition": cima,
                              "winding": [{"start_radius": r, "angle": run.angle,
                                           "status": run.status} for r, run in windings]}

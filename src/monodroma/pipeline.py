@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -197,24 +197,23 @@ def cima_condition(f: BivarPoly, g: BivarPoly) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Full record of one certification run.  ``hamiltonian`` is the field X
-    that certify read the diagram from, holding its support map;
-    ``compactified``, the full b(X) for auditors and numeric cross-checks,
-    is built from it lazily, on first access, outside the timed stages."""
+    """Full record of one certification run: the fields its JSON serializes,
+    and nothing else.  ``compactified``, the full b(X) for auditors and
+    numeric cross-checks, is rebuilt from f and g on first access, outside
+    the timed stages, when there is a diagram; otherwise it is None."""
 
     f: BivarPoly
     g: BivarPoly
     verdict: str
     reason: Optional[str]
     det_status: DetStatus
-    hamiltonian: Optional[PlanarField] = dataclass_field(repr=False)
     diagram: Optional[NewtonDiagram]
     monodromy: Optional[MonodromyVerdict]
-    timings_ms: dict[str, float] = dataclass_field(default_factory=dict)
+    timings_ms: dict[str, float]
 
     @cached_property
     def compactified(self) -> Optional[PlanarField]:
-        return None if self.hamiltonian is None else compactify(self.hamiltonian)
+        return None if self.diagram is None else compactify(hamiltonian_field(self.f, self.g))
 
     def to_json_dict(self) -> dict:
         return _certificate_json(self)
@@ -229,11 +228,10 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
         timings[stage] = (time.perf_counter() - start) * 1000.0
 
     def finish(verdict: str, reason: Optional[str], det: DetStatus,
-               x_field: Optional[PlanarField] = None,
                dia: Optional[NewtonDiagram] = None,
                mono: Optional[MonodromyVerdict] = None) -> Certificate:
         timings["total"] = (time.perf_counter() - start_total) * 1000.0
-        return Certificate(f, g, verdict, reason, det, x_field, dia, mono, timings)
+        return Certificate(f, g, verdict, reason, det, dia, mono, timings)
 
     if f.is_zero and g.is_zero:
         return finish(NOT_APPLICABLE, "zero map: the Hamiltonian field vanishes identically",
@@ -284,7 +282,7 @@ def certify(f: BivarPoly, g: BivarPoly, *, assume_det: bool = False) -> Certific
     else:
         verdict = INCONCLUSIVE
         reason = f"monodromy: {mono.outcome}" + (f" ({mono.reason})" if mono.reason else "")
-    return finish(verdict, reason, det_status, x_field, dia, mono)
+    return finish(verdict, reason, det_status, dia, mono)
 
 
 # -- JSON serialization --------------------------------------------------------

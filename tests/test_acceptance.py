@@ -24,7 +24,6 @@ from monodroma import (
     PlanarField,
     build_diagram,
     certify,
-    cima_condition,
     compactify,
     det_nonvanishing_heuristic,
     hamiltonian_field,
@@ -34,7 +33,7 @@ from monodroma import (
 )
 from monodroma.diagram import newton_chain
 from monodroma.monodromy import MONODROMIC
-from monodroma.pipeline import INJECTIVE, PROVED
+from monodroma.pipeline import INJECTIVE, PROVED, cima_condition
 from monodroma.realroots import UniPoly, squarefree_part, sturm_count
 from monodroma.oracle import brute_force_diagram, diagonal_part, map_degree, numeric_root_count, winding
 
