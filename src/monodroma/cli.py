@@ -73,7 +73,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     f, g = parse_map(args.map)
     cert = certify(f, g, assume_det=args.assume_det)
     cima, windings, oracle_ms = None, [], 0.0
-    if args.with_oracle and cert.compactified is not None:
+    # b(X) is rebuilt on every read of cert.compactified: read it once here.
+    if args.with_oracle and (b_field := cert.compactified) is not None:
         try:
             from . import oracle
         except ImportError:
@@ -82,7 +83,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             return 1
         start = time.perf_counter()
         cima = cima_condition(f, g)
-        windings = [(r, oracle.winding(cert.compactified, (r, 0.0))) for r in (0.05, 0.1, 0.3)]
+        windings = [(r, oracle.winding(b_field, (r, 0.0))) for r in (0.05, 0.1, 0.3)]
         oracle_ms = (time.perf_counter() - start) * 1000.0
     if args.json:
         doc = cert.to_json_dict()

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
+from itertools import repeat
+from operator import add, mul
 from typing import Mapping, Optional
 
 from .polycore import BivarPoly, Monomial, mul_numerators
@@ -97,11 +96,16 @@ def _even_positive_method(det: BivarPoly) -> Optional[str]:
     return None
 
 
+# The grid's coordinates, doubled: x = kx/2 and y = ky/2 for kx, ky in here.
+_HALVES = range(-10, 11)
+# The pseudo-random points are evaluated this many at a time.
+_BLOCK = 20
+
+
 def _sample_points() -> tuple[Point, ...]:
     """The half-integer grid over [-5, 5]^2, then 100 fixed pseudo-random points."""
     rng = random.Random(20260814)
-    grid = [Fraction(k, 2) for k in range(-10, 11)]
-    points = [(gx, gy) for gx in grid for gy in grid]
+    points = [(Fraction(kx, 2), Fraction(ky, 2)) for kx in _HALVES for ky in _HALVES]
     for _ in range(100):
         x = Fraction(rng.randint(-1000, 1000), rng.randint(1, 100))
         points.append((x, Fraction(rng.randint(-1000, 1000), rng.randint(1, 100))))
@@ -110,12 +114,41 @@ def _sample_points() -> tuple[Point, ...]:
 
 _SAMPLE_POINTS = _sample_points()
 
-# The sample as maximal runs of consecutive points sharing x, in sample
-# order: (a, b, ((point, c, d), ...)) with x = a/b and y = c/d.  That is the
-# 21 grid columns, then the pseudo-random points.
-_SAMPLE_COLUMNS = tuple(
-    (x.numerator, x.denominator, tuple((p, p[1].numerator, p[1].denominator) for p in run))
-    for x, run in groupby(_SAMPLE_POINTS, key=itemgetter(0)))
+# The sample in evaluation order.  First the 21 grid columns (kx, points),
+# point n of a column at y = ky/2 for ky = _HALVES[n]; then the pseudo-random
+# points in blocks (points, a, b, c, d), point n at (a[n]/b[n], c[n]/d[n]).
+_GRID_COLUMNS = tuple((kx, _SAMPLE_POINTS[n * len(_HALVES):(n + 1) * len(_HALVES)])
+                      for n, kx in enumerate(_HALVES))
+_BLOCKS = tuple(
+    (block, *zip(*((x.numerator, x.denominator, y.numerator, y.denominator) for x, y in block)))
+    for block in (_SAMPLE_POINTS[n:n + _BLOCK]
+                  for n in range(len(_HALVES) ** 2, len(_SAMPLE_POINTS), _BLOCK)))
+
+
+def _block_values(rows: Mapping[int, list[tuple[int, int]]], x_exps: set[int], dx: int, dy: int,
+                  a: tuple[int, ...], b: tuple[int, ...],
+                  c: tuple[int, ...], d: tuple[int, ...]) -> list[int]:
+    """b^dx d^dy den det(a/b, c/d), which has det's sign, at every point of a
+    block: the sum over (i, j) of n_ij a^i b^(dx - i) c^j d^(dy - j), with
+    ``rows`` the terms (i, n_ij) of det's numerators by y exponent j."""
+    xs = {i: list(map(mul, map(pow, a, repeat(i)), map(pow, b, repeat(dx - i)))) for i in x_exps}
+    values = repeat(0)
+    for j, terms in rows.items():
+        row = repeat(0)
+        for i, n in terms:
+            row = list(map(add, row, map(mul, xs[i], repeat(n))))
+        ys = map(mul, map(pow, c, repeat(j)), map(pow, d, repeat(dy - j)))
+        values = list(map(add, values, map(mul, row, ys)))
+    return values
+
+
+def _zero_found(point: Point) -> DetStatus:
+    return DetStatus(VANISHES, witness=point, detail="exact zero found by sampling")
+
+
+def _sign_change(positive: Point, negative: Point) -> DetStatus:
+    return DetStatus(VANISHES, segment=(positive, negative),
+                     detail="sign change between two sample points")
 
 
 def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
@@ -130,11 +163,17 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
     to the first with det < 0).  The sample is the same on every call, so
     the status is deterministic.
 
-    Only signs are read, in integers, lazily, column by column.  On entering
-    a column x = a/b, det collapses to one integer coefficient per distinct
-    y exponent, O(terms); each point y = c/d of the column then costs one
-    Horner pass over those exponents, O(distinct y exponents), stepping by
-    their gaps rather than over a dense degree range.
+    Only signs are read, in integers, lazily.  The grid goes column by
+    column, every y written as ky/2 over the one denominator 2: on entering
+    a column x = kx/2, det collapses to one integer coefficient per distinct
+    y exponent, O(terms), with the powers of 2 folded in; each point of the
+    column then costs one Horner pass over those exponents in ky,
+    O(distinct y exponents), stepping by their gaps rather than over a
+    dense degree range.  The pseudo-random points go in blocks of 20, all
+    the points of a block at once: a vector of integer values per x
+    exponent and per y row, formed by C-level ``map``.  A block of one sign
+    is settled by its minimum and maximum; only a mixed block is scanned
+    point by point.
     """
     if det.is_zero:
         return DetStatus(VANISHES, witness=(Fraction(0), Fraction(0)),
@@ -150,37 +189,49 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
     for (i, j), n in num.items():
         rows.setdefault(j, []).append((i, n))
     x_exps = {i for i, _ in num}
-    dx = max(x_exps)
+    dx, dy = max(x_exps), max(rows)
     y_exps = sorted(rows, reverse=True)
     positive: Optional[Point] = None
     negative: Optional[Point] = None
-    for a, b, column in _SAMPLE_COLUMNS:
-        # b^dx den det(a/b, y) = sum over j of C_j y^j.
-        xs = {i: a**i * b**(dx - i) for i in x_exps}
-        coeffs = [(j, cj) for j in y_exps if (cj := sum(n * xs[i] for i, n in rows[j]))]
+    for kx, column in _GRID_COLUMNS:
+        # 2^(dx + dy) den det(kx/2, y) = sum over j of C_j (2y)^j.
+        xs = {i: kx**i << (dx - i) for i in x_exps}
+        coeffs = [(j, cj << (dy - j)) for j in y_exps
+                  if (cj := sum(n * xs[i] for i, n in rows[j]))]
         if not coeffs:
-            return DetStatus(VANISHES, witness=column[0][0], detail="exact zero found by sampling")
+            return _zero_found(column[0])
         lead, low = coeffs[0][1], coeffs[-1][0]
         steps = [(prev - j, cj) for (prev, _), (j, cj) in zip(coeffs, coeffs[1:])]
-        for point, c, d in column:
+        for point, ky in zip(column, _HALVES):
             # Horner over the kept j, high to low, stepping by their gaps:
-            # sum_j C_j c^j d^(J - j) = c^low * acc, J the largest kept j.
-            # den, b and d are positive, so det(x, y) has the sign of that.
-            acc, d_pow = lead, 1
+            # sum_j C_j ky^j = ky^low * acc.  den is positive, so det(x, y)
+            # has the sign of that.
+            acc = lead
             for gap, cj in steps:
-                d_pow *= d**gap
-                acc = acc * c**gap + cj * d_pow
-            if c < 0 and low & 1:
+                acc = acc * ky**gap + cj
+            if ky < 0 and low & 1:
                 acc = -acc
-            if acc == 0 or (c == 0 and low):
-                return DetStatus(VANISHES, witness=point, detail="exact zero found by sampling")
+            if acc == 0 or (ky == 0 and low):
+                return _zero_found(point)
             if acc > 0:
                 positive = positive or point
             else:
                 negative = negative or point
             if positive and negative:
-                return DetStatus(VANISHES, segment=(positive, negative),
-                                 detail="sign change between two sample points")
+                return _sign_change(positive, negative)
+    for block, a, b, c, d in _BLOCKS:
+        values = _block_values(rows, x_exps, dx, dy, a, b, c, d)
+        if min(values) > 0 or max(values) < 0:
+            block, values = block[:1], values[:1]  # one sign: its first point is all a scan reads
+        for point, value in zip(block, values):
+            if value == 0:
+                return _zero_found(point)
+            if value > 0:
+                positive = positive or point
+            else:
+                negative = negative or point
+            if positive and negative:
+                return _sign_change(positive, negative)
     return DetStatus(UNKNOWN, detail="no syntactic pattern matched and sampling saw one sign")
 
 
@@ -198,9 +249,11 @@ def cima_condition(f: BivarPoly, g: BivarPoly) -> bool:
 @dataclass(frozen=True)
 class Certificate:
     """Full record of one certification run: the fields its JSON serializes,
-    and nothing else.  ``compactified``, the full b(X) for auditors and
-    numeric cross-checks, is rebuilt from f and g on first access, outside
-    the timed stages, when there is a diagram; otherwise it is None."""
+    and nothing else.  Equality and the hash leave ``timings_ms`` out, so two
+    runs on one map compare equal.  ``compactified``, the full b(X) for
+    auditors and numeric cross-checks, is rebuilt from f and g on every
+    access, outside the timed stages, when there is a diagram; otherwise it
+    is None."""
 
     f: BivarPoly
     g: BivarPoly
@@ -209,9 +262,9 @@ class Certificate:
     det_status: DetStatus
     diagram: Optional[NewtonDiagram]
     monodromy: Optional[MonodromyVerdict]
-    timings_ms: dict[str, float]
+    timings_ms: dict[str, float] = dataclass_field(compare=False)
 
-    @cached_property
+    @property
     def compactified(self) -> Optional[PlanarField]:
         return None if self.diagram is None else compactify(hamiltonian_field(self.f, self.g))
 

@@ -47,6 +47,9 @@ from monodroma import (
 from monodroma.field import common_real_linear_factors
 from monodroma.monodromy import INCONCLUSIVE as MONODROMY_INCONCLUSIVE, MONODROMIC
 from monodroma.pipeline import (
+    _BLOCKS,
+    _GRID_COLUMNS,
+    _HALVES,
     _SAMPLE_POINTS,
     ASSUMED,
     INCONCLUSIVE,
@@ -224,16 +227,61 @@ _planted_dets = hst.builds(lambda x0, h: (X - BivarPoly.const(x0)) * h,
                            hst.sampled_from([x for x, _ in _SAMPLE_POINTS[-100:]]), _dets)
 
 
+def _point_zero(x0: Fraction, y0: Fraction) -> BivarPoly:
+    """(x - x0)^2 + (y - y0)^2: zero at (x0, y0) and positive elsewhere."""
+    return (X - BivarPoly.const(x0)) ** 2 + (Y - BivarPoly.const(y0)) ** 2
+
+
+def _negative_on_the_grid_positive_on_the_first_block() -> BivarPoly:
+    """q - e with q = prod over kx of (2x - kx)^2, zero on every grid column,
+    and e half the least q on the first block of pseudo-random points: det is
+    negative on the grid and positive on that whole block."""
+    q = BivarPoly.const(1)
+    for kx in _HALVES:
+        q = q * (2 * X - BivarPoly.const(kx)) ** 2
+    block = _SAMPLE_POINTS[-100:-80]
+    return q - BivarPoly.const(min(_naive_value(q, *point) for point in block) / 2)
+
+
+# A point zero planted at one of the pseudo-random points, of either sign,
+# so that the grid sees one sign and the first zero lies in a block.
+_planted_point_zeros = hst.builds(lambda point, sign: sign * _point_zero(*point),
+                                  hst.sampled_from(_SAMPLE_POINTS[-100:]), hst.sampled_from([1, -1]))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(hst.one_of(_dets, _sparse_dets, _planted_dets))
+@given(hst.one_of(_dets, _sparse_dets, _planted_dets, _planted_point_zeros))
 @example(parse_poly("x*y^3 - y"))  # zero on the y = 0 row through the trailing y factor
 @example(parse_poly("x*y^3 - 1"))
 @example(parse_poly("(x^100 - y^100)^2 + 1"))
 @example(parse_poly("(y^300 - x)^2 + 1"))
+@example(parse_poly("26 - x^2"))  # positive on the grid, first negative among the random points
+# Negative on the grid, positive on the whole first block: the first positive is its first point.
+@example(_negative_on_the_grid_positive_on_the_first_block())
+# Exact zeros at the 1st, 20th, 21st and 100th pseudo-random point: the edges of the blocks.
+@example(_point_zero(*_SAMPLE_POINTS[-100]))
+@example(_point_zero(*_SAMPLE_POINTS[-81]))
+@example(_point_zero(*_SAMPLE_POINTS[-80]))
+@example(_point_zero(*_SAMPLE_POINTS[-1]))
 def test_det_status_matches_the_point_by_point_reference(det):
     # Same points, same order: the same first zero, or the same first
     # positive and first negative point, or Unknown on both sides.
     assert det_nonvanishing_heuristic(det) == _reference_status(det)
+
+
+def test_det_sampling_layout_lists_the_sample_in_order():
+    # The grid columns, then the blocks, are the sample points in sample
+    # order, and their integers name the same points.
+    columns = [point for _, column in _GRID_COLUMNS for point in column]
+    blocks = [point for block, *_ in _BLOCKS for point in block]
+    assert columns + blocks == list(_SAMPLE_POINTS)
+    assert len(_GRID_COLUMNS) == 21 and [len(block) for block, *_ in _BLOCKS] == [20] * 5
+    for kx, column in _GRID_COLUMNS:
+        assert column == tuple((Fraction(kx, 2), Fraction(ky, 2)) for ky in _HALVES)
+    for block, a, b, c, d in _BLOCKS:
+        assert block == tuple((Fraction(*x), Fraction(*y))
+                              for x, y in zip(zip(a, b), zip(c, d)))
+        assert min(b) > 0 and min(d) > 0
 
 
 def test_det_positive_without_pattern_is_unknown():
@@ -613,6 +661,29 @@ def test_certificate_holds_what_its_json_holds():
     first, second = (dataclasses.replace(certify(f, g), timings_ms={}) for _ in range(2))
     assert first == second
     assert first.compactified == compactify(hamiltonian_field(f, g))
+
+
+def test_certificates_compare_and_hash_without_timings():
+    # Equality and the hash leave timings_ms out: two runs on one map are
+    # equal and hash alike, for every verdict.
+    for text in ("f = x + x^3; g = y + x^2", "f = x + x^3 + 3*x*y^2; g = y + 3*x^2*y + y^3",
+                 "f = x - x^3; g = y", "f = 0; g = 0"):
+        f, g = monodroma.parse_map(text)
+        first, second = certify(f, g), certify(f, g)
+        other = dataclasses.replace(second, timings_ms={"total": -1.0})
+        assert first == second == other, text
+        assert hash(first) == hash(second) == hash(other) and len({first, second, other}) == 1
+    assert first != dataclasses.replace(first, verdict=INJECTIVE)
+
+
+def test_reading_compactified_leaves_the_certificate_as_it_was():
+    # b(X) is rebuilt on every read, never stored on the certificate.
+    f, g = monodroma.parse_map("f = x + x^3; g = y + x^2")
+    cert = certify(f, g)
+    size = len(pickle.dumps(cert))
+    assert cert.compactified == compactify(hamiltonian_field(f, g))
+    assert len(pickle.dumps(cert)) == size
+    assert "compactified" not in vars(cert)
 
 
 _ROUND_TRIPS = {
