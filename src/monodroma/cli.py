@@ -92,7 +92,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             doc["oracle"] = {"cima_condition": cima,
                              "winding": [{"start_radius": r, "angle": run.angle,
                                           "status": run.status} for r, run in windings]}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, separators=(",", ":")))
     else:
         _print_certificate(cert, cima, windings)
     return _VERDICT_EXIT[cert.verdict]

@@ -13,8 +13,20 @@ into the Hamiltonian field of h plus mu * (t1*x, t2*y), point by point:
 with w = k + t1 + t2, each point (x, y) of its vector-coefficient map
 (field.vector_coefficients), holding (a, b), gives (t1*b - t2*a)/w to h at
 x^x y^y and (x*a + y*b)/w to mu at x^(x-1) y^(y-1).  edge_hamiltonian
-applies this formula to the points of the diagram's one map that lie on an
-edge's line t1*x + t2*y = w.
+applies this formula to the points of a map that lie on an edge's line
+t1*x + t2*y = w.
+
+build_diagram reads the diagram's one map in one pass plus a sort of its
+distinct x coordinates.  The chain comes from the lowest point of each
+column (newton_chain).  Each bounded edge from va to vb is split from the
+lattice points of its own segment, va + k*(t2, -t1) for k = 0..g with g the
+gcd of the coordinate differences, looked up in the map; when the map has
+fewer points than the segment, the whole map goes to edge_hamiltonian
+instead.  The segment holds every support point on the edge's line: w is
+the minimum of t1*x + t2*y over the support, and a support point on the
+line beyond vb (or before va) would make vb (or va) a non-strict turn of
+the chain, which keeps strict turns only.  The two axis rays are split
+from the whole map.
 """
 
 from __future__ import annotations
@@ -33,30 +45,35 @@ from .field import support  # noqa: F401
 def newton_chain(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Vertices of the Newton diagram of a set of lattice points.
 
-    Pareto-dominated points cannot be vertices and are dropped first: in
-    sorted order a point survives exactly when its y is strictly below that
-    of the last survivor.  The survivors form a staircase on which a
+    Only the lowest point of each column can be a vertex, so one pass keeps
+    the lowest y of each x, and only the distinct x are sorted.  Of these
+    column minima, in increasing x, a point survives exactly when its y is
+    strictly below that of the last survivor: the others are
+    Pareto-dominated.  The survivors form a staircase on which a
     monotone-chain sweep keeps the strictly convex turns.  A single vertex
     is a valid (degenerate) chain.
     """
-    pts = sorted(set(points))
-    if not pts:
+    lowest: dict[int, int] = {}
+    get = lowest.get
+    for x, y in points:
+        low = get(x)
+        if low is None or y < low:
+            lowest[x] = y
+    if not lowest:
         raise ValueError("empty support")
-    minimal = [pts[0]]
-    for p in pts[1:]:
-        if p[1] < minimal[-1][1]:
-            minimal.append(p)
     chain: list[tuple[int, int]] = []
-    for p in minimal:
+    for x in sorted(lowest):
+        y = lowest[x]
+        if chain and y >= chain[-1][1]:  # chain[-1] is the last survivor
+            continue
         while len(chain) >= 2:
             ax, ay = chain[-2]
             bx, by = chain[-1]
-            cross = (bx - ax) * (p[1] - by) - (by - ay) * (p[0] - bx)
-            if cross <= 0:
+            if (bx - ax) * (y - by) - (by - ay) * (x - bx) <= 0:
                 chain.pop()
             else:
                 break
-        chain.append(p)
+        chain.append((x, y))
     return chain
 
 
@@ -146,6 +163,19 @@ def _edge_type(a: tuple[int, int], b: tuple[int, int]) -> QuasiType:
     return quasi_type(dy // g, dx // g)
 
 
+def _segment_map(coeffs: SupportMap, a: tuple[int, int], b: tuple[int, int],
+                 t: QuasiType) -> SupportMap:
+    """The part of the map on the segment from a to b of type t: its lattice points
+    a + k*(t2, -t1) looked up, or the whole map, which edge_hamiltonian scans,
+    when the map has fewer points than the segment."""
+    (x0, y0), (t1, t2) = a, t
+    steps = (b[0] - x0) // t2 + 1
+    if steps > len(coeffs):
+        return coeffs
+    points = ((x0 + k * t2, y0 - k * t1) for k in range(steps))
+    return {pt: coeffs[pt] for pt in points if pt in coeffs}
+
+
 def _highest_coeff(h: BivarPoly, axis: int) -> Fraction:
     """Coefficient of h at its key of largest x (axis 0) or y (axis 1) exponent."""
     num, den = h.numerators()
@@ -160,17 +190,19 @@ def build_diagram(x_field: PlanarField) -> NewtonDiagram:
                             "exterior" if 0 in pt else "inner")
                      for pt in newton_chain(coeffs))
 
-    def edge(t: QuasiType, ends: tuple[Vertex, ...]) -> Edge:
+    def edge(t: QuasiType, ends: tuple[Vertex, ...], on_edge: SupportMap) -> Edge:
         line_value = t[0] * ends[0].point[0] + t[1] * ends[0].point[1]
-        h, mu = edge_hamiltonian(coeffs, den, t, line_value)
+        h, mu = edge_hamiltonian(on_edge, den, t, line_value)
         return Edge(t, len(ends) == 2, ends, line_value, line_value - t[0] - t[1], h, mu)
 
-    bounded = [edge(_edge_type(va.point, vb.point), (va, vb))
-               for va, vb in zip(vertices, vertices[1:])]
+    bounded = []
+    for va, vb in zip(vertices, vertices[1:]):
+        t = _edge_type(va.point, vb.point)
+        bounded.append(edge(t, (va, vb), _segment_map(coeffs, va.point, vb.point, t)))
     first, last = vertices[0], vertices[-1]
-    edges = ([edge((1, 0), (first,))] if first.point[0] > 0 else []) + bounded
+    edges = ([edge((1, 0), (first,), coeffs)] if first.point[0] > 0 else []) + bounded
     if last.point[1] > 0:
-        edges.append(edge((0, 1), (last,)))
+        edges.append(edge((0, 1), (last,), coeffs))
 
     betas: list[tuple[tuple[int, int], Fraction]] = []
     undefined: list[tuple[tuple[int, int], str]] = []

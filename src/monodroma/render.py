@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from .diagram import NewtonDiagram
@@ -32,24 +33,20 @@ def _legend(diagram: NewtonDiagram) -> list[str]:
 
 def render_ascii(diagram: NewtonDiagram, support_points: Iterable[tuple[int, int]]) -> str:
     """Lattice picture ('V' vertices, '*' other support points) plus legend."""
-    vertex_points = set(diagram.vertex_points())
-    extra = set(support_points) - vertex_points
-    all_points = vertex_points | extra
-    xmax = max(x for x, _ in all_points)
-    ymax = max(y for _, y in all_points)
+    vertex_points = diagram.vertex_points()
+    points = [*support_points, *vertex_points]
+    xmax = max(map(itemgetter(0), points))
+    ymax = max(map(itemgetter(1), points))
     lines: list[str] = []
     if xmax <= _ASCII_LIMIT and ymax <= _ASCII_LIMIT:
+        grid = [["."] * (xmax + 1) for _ in range(ymax + 1)]
+        for x, y in points:
+            grid[y][x] = "*"
+        for x, y in vertex_points:
+            grid[y][x] = "V"
         width = len(str(ymax))
         for y in range(ymax, -1, -1):
-            row = []
-            for x in range(xmax + 1):
-                if (x, y) in vertex_points:
-                    row.append("V")
-                elif (x, y) in extra:
-                    row.append("*")
-                else:
-                    row.append(".")
-            lines.append(f"{y:>{width}} | " + " ".join(row))
+            lines.append(f"{y:>{width}} | " + " ".join(grid[y]))
         lines.append(" " * width + " +" + "-" * (2 * xmax + 2))
         labels = [str(x) if x % 2 == 0 else " " for x in range(xmax + 1)]
         lines.append(" " * width + "   " + " ".join(c[-1] for c in labels))

@@ -122,6 +122,18 @@ def test_check_json_emits_a_valid_certificate(capsys):
         (0, 12), (6, 2), (8, 0)]
 
 
+def test_check_json_is_one_compact_line(capsys):
+    assert main(["check", EX1, "--json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, separators=(",", ":")) + "\n"  # one line, no padding
+    f, g = monodroma.parse_map(EX1)
+    expected = monodroma.certify(f, g).to_json_dict()
+    doc.pop("timings_ms")
+    expected.pop("timings_ms")
+    assert doc == expected
+
+
 def test_seed_env_is_ignored(capsys, monkeypatch):
     # The determinant sample is fixed: no environment variable reseeds it.
     assert main(["check", EX1, "--json"]) == 0

@@ -8,9 +8,9 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from monodroma import BivarPoly, PlanarField, build_diagram, hamiltonian_field, support
+from monodroma import BivarPoly, PlanarField, build_diagram, hamiltonian_field, render_ascii, support
 from monodroma.diagram import edge_hamiltonian, inner_beta, newton_chain
-from monodroma.field import vector_coefficients
+from monodroma.field import _field_from_support, support_points, vector_coefficients
 from monodroma.oracle import brute_force_diagram
 
 from genmaps import example1_map, lattice_on_line, rand_quasi_field, rand_quasi_poly, rand_type
@@ -352,3 +352,100 @@ def test_two_exterior_vertices_have_the_shape_condition_b_reads(p, q, p_axis, q_
         assert (first, last) == (vertices[0], vertices[-1])
         assert first.point[0] == 0 and first.coeff[1] == 0 and first.coeff[0] != 0
         assert last.point[1] == 0 and last.coeff[0] == 0 and last.coeff[1] != 0
+
+
+@st.composite
+def _diagram_fields(draw):
+    """A field on the grid 0..12 around a planted segment of type t: lattice
+    points of the segment, including both ends, points on the column and the
+    row through its ends (the rays' lines, the axes when an offset is 0), and
+    random points, kept on or above the segment's line unless hull is off."""
+    t1, t2 = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 2)]))
+    x0, y0 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    s = draw(st.integers(1, min((12 - y0) // t1, (12 - x0) // t2)))
+    top, w = y0 + s * t1, t1 * x0 + t2 * (y0 + s * t1)
+    inner = draw(st.sets(st.integers(1, s - 1), max_size=s - 1)) if s > 1 else set()
+    points = {(x0 + k * t2, top - k * t1) for k in {0, s} | inner}
+    points |= {(x0, y) for y in draw(st.sets(st.integers(top, 12), max_size=4))}
+    points |= {(x, y0) for x in draw(st.sets(st.integers(x0 + s * t2, 12), max_size=4))}
+    hull = draw(st.booleans())
+    points |= {(x, y) for x, y in draw(st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                                               max_size=12))
+               if not hull or (x >= x0 and y >= y0 and t1 * x + t2 * y >= w)}
+    points.discard((0, 0))
+    coeff = st.integers(-3, 3)
+    p, q = {}, {}
+    for x, y in sorted(points):  # a from P at (x, y - 1), b from Q at (x - 1, y)
+        a = draw(coeff) if y else 0
+        b = draw(coeff) if x else 0
+        if a == b == 0:
+            a, b = (1, 0) if y else (0, 1)
+        if a:
+            p[x, y - 1] = a
+        if b:
+            q[x - 1, y] = b
+    return PlanarField(BivarPoly(p), BivarPoly(q))
+
+
+def _reference_picture(diagram, points):
+    """The lattice picture of render_ascii, cell by cell; [] past the size limit."""
+    vertex_points = set(diagram.vertex_points())
+    extra = set(points) - vertex_points
+    xmax = max(x for x, _ in vertex_points | extra)
+    ymax = max(y for _, y in vertex_points | extra)
+    if xmax > 48 or ymax > 48:
+        return []
+    width = len(str(ymax))
+    lines = []
+    for y in range(ymax, -1, -1):
+        row = ["V" if (x, y) in vertex_points else "*" if (x, y) in extra else "."
+               for x in range(xmax + 1)]
+        lines.append(f"{y:>{width}} | " + " ".join(row))
+    lines.append(" " * width + " +" + "-" * (2 * xmax + 2))
+    lines.append(" " * width + "   " + " ".join(str(x)[-1] if x % 2 == 0 else " "
+                                                for x in range(xmax + 1)))
+    return lines + [""]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_diagram_fields())
+@example(PlanarField(-Y, X))
+@example(PlanarField(X * Y * 2, -X * Y))
+def test_edges_and_picture_match_the_full_support_scan(field):
+    """Each edge's split equals edge_hamiltonian on the whole support map, and
+    render_ascii draws the picture the cell-by-cell reference draws."""
+    coeffs, den = vector_coefficients(field)
+    dia = build_diagram(field)
+    for e in dia.edges:
+        assert (e.h, e.mu) == edge_hamiltonian(coeffs, den, e.t, e.line_value), e.t
+    points = support_points(field)
+    reference = _reference_picture(dia, points)
+    lines = render_ascii(dia, points).split("\n")
+    assert lines[:len(reference)] == reference
+    assert lines[len(reference)] == "vertices:"
+
+
+class _CountingMap(dict):
+    """A support map that counts membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("n", [12, 10 ** 6])
+def test_bounded_edge_lookups_stay_within_the_support(n):
+    """A bounded edge is split from its segment's lattice points, or from the
+    map itself when the map is the smaller: the edge of (0, n) and (n, 0) holds
+    n + 1 lattice points, 13 or 10^6 + 1, and the support 18 points."""
+    block = BivarPoly({(n + i, n + j): 1 for i in range(4) for j in range(4)})  # above the edge
+    field = PlanarField(-BivarPoly.monomial(0, n - 1) + block, BivarPoly.monomial(n - 1, 0))
+    coeffs, den = vector_coefficients(field)
+    counting = _CountingMap(coeffs)
+    dia = build_diagram(_field_from_support(counting, den))
+    assert dia.vertex_points() == [(0, n), (n, 0)]
+    assert counting.lookups <= len(coeffs)
+    (e,) = dia.edges
+    assert (e.h, e.mu) == edge_hamiltonian(coeffs, den, (1, 1), n)

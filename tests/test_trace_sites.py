@@ -38,5 +38,6 @@ def test_check_path_spans_fire(monkeypatch):
     finally:
         tracer.uninstall()
     for name in ("field.hamiltonian_field.calls", "diagram.build_diagram.calls",
+                 "diagram.newton_chain.calls", "diagram.edge_hamiltonian.calls",
                  "diagram.support_points"):
         assert counts.get(name, 0) > 0, name
