@@ -196,7 +196,8 @@ def _build_parser() -> _ArgumentParser:
     bendixson.set_defaults(func=_cmd_bendixson)
 
     factor = sub.add_parser("factor-test", help="edge factor test for a polynomial in (u, v)")
-    factor.add_argument("poly")
+    factor.add_argument("poly", help="polynomial in u, v; one that starts with '-' goes "
+                        "after --, as in: factor-test --type 1,2 -- '-u^2+v'")
     factor.add_argument("--type", required=True, metavar="T1,T2",
                         help="quasi-homogeneity type, e.g. 3,1")
     factor.set_defaults(func=_cmd_factor_test)

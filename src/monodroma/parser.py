@@ -23,19 +23,18 @@ Cost model: the text is split by one regular-expression pass, linear in
 its length, and each distinct lexeme is classified once, so a token costs
 one list entry for its kind.  Byte offsets are computed only for an error.
 Every value is one pair (num, den) of integer numerators {(i, j): n} over a
-positive denominator, in any scaling.  A term multiplies its factors left
-to right.  Up to its first parenthesised factor, the literals and the
-powers of variables fold into one running monomial c/den * x^a * y^b by
-polycore.mul_monomial, a few integer operations per factor with the
-exponent checks of polycore.mul_numerators.  A parenthesised factor, and
-every factor after it, is multiplied in by one call of
-polycore.mul_numerators, and a parenthesised power is one call of
-polycore.pow_numerators, the kernels BivarPoly's own operators use.  A sum
-of k terms is one pass over their numerators scaled to the lcm of their
-denominators.  Nothing is reduced on the way, except a rational literal
-and a parenthesised power's base, by the gcd of denominator and
-numerators: one BivarPoly.from_numerators per parsed expression or binding
-puts the result in lowest terms.
+positive denominator, in any scaling.  A factor is such a pair: a literal
+n/d is {(0, 0): n} over d, or {} when n is 0, a variable {(1, 0): 1} or
+{(0, 1): 1} over 1, and a parenthesised factor its expression's value.  A
+term multiplies its factors left to right, each power, sign and product at
+one site: a power is one call of polycore.pow_numerators on its base in
+lowest terms, and each factor after the first is multiplied in by one call
+of polycore.mul_numerators, the kernels BivarPoly's own operators use.  A
+sum of k terms is one pass over their numerators scaled to the lcm of their
+denominators.  Nothing is reduced on the way, except a power's base with a
+denominator, by the gcd of denominator and numerators: one
+BivarPoly.from_numerators per parsed expression or binding puts the result
+in lowest terms.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ import re
 import sys
 from math import gcd, lcm
 
-from .polycore import (MAX_EXPONENT, BivarPoly, Monomial, mul_monomial, mul_numerators,
-                       pow_numerators)
+from .polycore import MAX_EXPONENT, BivarPoly, Monomial, mul_numerators, pow_numerators
 
 MAX_DEPTH = 100
 
@@ -185,21 +183,18 @@ class _Parser:
     def term(self, k: int) -> _Parsed:
         kinds, lexemes = self.kinds, self.lexemes
         x, y = self.variables
-        # The product so far is c/den * x^a * y^b until a parenthesised
-        # factor makes it num/den; c = 0 stands for the empty numerators.
-        c, a, b, den = 1, 0, 0, 1
-        num: dict[Monomial, int] | None = None
+        num: dict[Monomial, int] | None = None  # the factors' product over den, once there is one
+        den = 1
         while True:
-            # factor := "-"* power; each minus is one level of nesting.  A
-            # literal or a variable is the monomial n/d * x^i * y^j, and a
-            # parenthesised factor the numerators fnum over d, with n None.
+            # factor := "-"* power; each minus is one level of nesting.
             minuses = 0
             while kinds[k] == "-":
                 self.nest(k)
                 minuses += 1
                 k += 1
+            # The atom as numerators fnum over d.
             kind = kinds[k]
-            if kind == "int":  # rational ["^" natural]
+            if kind == "int":  # rational
                 n, d = int(lexemes[k]), 1
                 k += 1
                 if kinds[k] == "/":
@@ -209,65 +204,42 @@ class _Parser:
                     if not d:
                         raise self.error("zero denominator", k + 1)
                     k += 2
-                    g = gcd(d, n)  # lowest terms, so that a power of 2/2 costs what 1 does
-                    n, d = n // g, d // g
-                i = j = 0
-                if kinds[k] == "^":
-                    e = self.exponent(k + 1)
-                    k += 2
-                    n, d = n**e, d**e
-            elif kind == "name":  # variable ["^" natural]
+                fnum = {(0, 0): n} if n else {}
+            elif kind == "name":  # variable
                 name = lexemes[k]
                 if name == x:
-                    i, j = 1, 0
+                    fnum = {(1, 0): 1}
                 elif name == y:
-                    i, j = 0, 1
+                    fnum = {(0, 1): 1}
                 else:
                     raise self.error(f"unknown variable {name!r}", k,
                                      frozenset({f"variable {v!r}" for v in self.variables}))
-                n = d = 1
+                d = 1
                 k += 1
-                if kinds[k] == "^":
-                    e = self.exponent(k + 1)
-                    k += 2
-                    i, j = i * e, j * e
-            elif kind == "(":  # "(" expr ")" ["^" natural]
+            elif kind == "(":  # "(" expr ")"
                 self.nest(k)
                 fnum, d, k = self.expr(k + 1)
                 k = self.expect(k, ")", "')'")
                 self.depth -= 1
-                if kinds[k] == "^":
-                    e = self.exponent(k + 1)
-                    k += 2
-                    if d != 1:  # lowest terms, so that (2/2*x)^n costs what x^n does
-                        g = gcd(d, *fnum.values())
-                        fnum, d = {key: v // g for key, v in fnum.items()}, d // g
-                    fnum, d = pow_numerators(fnum, d, e)
-                n = None
             else:
                 raise self.unexpected(k, "integer", "'('",
                                       *(f"variable {v!r}" for v in self.variables))
+            if kinds[k] == "^":
+                e = self.exponent(k + 1)
+                k += 2
+                if d != 1:  # lowest terms, so that (2/2*x)^n costs what x^n does
+                    g = gcd(d, *fnum.values())
+                    fnum, d = {key: v // g for key, v in fnum.items()}, d // g
+                fnum, d = pow_numerators(fnum, d, e)
             if minuses:
                 self.depth -= minuses
                 if minuses & 1:
-                    if n is None:
-                        fnum = {key: -v for key, v in fnum.items()}
-                    else:
-                        n = -n
+                    fnum = {key: -v for key, v in fnum.items()}
+            num = fnum if num is None else mul_numerators(num, fnum)
             den *= d
-            if n is None:
-                if num is None:
-                    num = {(a, b): c} if c else {}
-                num = mul_numerators(num, fnum)
-            elif num is None:
-                c, a, b = mul_monomial(c, a, b, n, i, j)
-            else:
-                num = mul_numerators(num, {(i, j): n} if n else {})
             if kinds[k] != "*":
                 break
             k += 1
-        if num is None:
-            num = {(a, b): c} if c else {}
         return num, den, k
 
 

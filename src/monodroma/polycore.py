@@ -327,16 +327,6 @@ def mul_numerators(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict
     return acc
 
 
-def mul_monomial(c: int, a: int, b: int, n: int, i: int, j: int) -> tuple[int, int, int]:
-    """The product of c*x^a*y^b and n*x^i*y^j as (c*n, a+i, b+j), where a
-    coefficient 0 stands for the empty numerators: the checks of
-    mul_numerators({(a, b): c}, {(i, j): n}), none when either side is 0,
-    otherwise the x exponent before the y exponent."""
-    if not c or not n:
-        return 0, 0, 0
-    return c * n, _check_exponent(a + i), _check_exponent(b + j)
-
-
 def _square_numerators(a: Mapping[Monomial, int]) -> dict[Monomial, int]:
     """mul_numerators(a, a), with the same exponent checks and messages, in
     about half the products: each cross term of two distinct terms is formed

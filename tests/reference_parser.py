@@ -1,9 +1,10 @@
-"""The recursive-descent parser as it was before the running monomial.
+"""The recursive-descent parser as it was before the one-pass tokenizer.
 
 A reference the tests compare monodroma.parser against: one _Token per
-lexeme, peek() and advance() over them, and one mul_numerators call per
-product.  Its errors are monodroma.parser's ParseError, so the two can be
-compared on class, message, offset and expected set.
+lexeme, peek() and advance() over them, one method per grammar rule, and
+one mul_numerators call per product.  Its errors are monodroma.parser's
+ParseError, so the two can be compared on class, message, offset and
+expected set.
 """
 
 from __future__ import annotations

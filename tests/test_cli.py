@@ -232,6 +232,11 @@ def test_factor_test_prints_nothing_when_formatting_fails(capsys):
     assert err.startswith("error: ")
 
 
+def test_factor_test_reads_a_leading_minus_after_the_separator(capsys):
+    assert main(["factor-test", "--type", "1,2", "--", "-u^2+v"]) == 0
+    assert "  a = 1" in capsys.readouterr().out.splitlines()
+
+
 def test_factor_test_rejects_bad_types(capsys):
     assert main(["factor-test", "u*v", "--type", "0,0"]) == 1
     assert "invalid --type" in capsys.readouterr().err

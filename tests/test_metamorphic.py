@@ -9,6 +9,20 @@ so R1 tests the arithmetic that forms them: a det kernel that adds
 f_y*g_x instead of subtracting it fails R1.  Any quadratic form in the coefficients
 is rotation-invariant, so a squaring kernel that drops the doubling of its
 cross terms passes R1.
+
+R2 swaps the target's components, negates one, or scales both by 7.  The
+energy is kept or scaled and det is kept, negated or scaled, all at the
+same points, so the verdict, the determinant status and the monodromy
+outcome are equal.
+
+R3 composes the map with x -> -x, y -> -y or the swap of x and y, edited
+into the map's text, so the parser reads every example too.  F o S is
+injective exactly when F is, and det(F o S) vanishes exactly where det F
+does at the mirrored point.  Sampling looks at fixed points that no mirror
+keeps, so the two statuses may differ; what must not happen is a proof
+one way and a zero the other: Injective for one map and VanishesAt for its
+mirror.  Where both certificates reach the monodromy stage, its outcome is
+equal too: a mirror of the plane keeps whether the origin is monodromic.
 """
 
 from fractions import Fraction
@@ -16,6 +30,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from monodroma import BivarPoly, certify, parse_map
+from monodroma.pipeline import INJECTIVE, VANISHES
 
 X = BivarPoly.monomial(1, 0)
 Y = BivarPoly.monomial(0, 1)
@@ -52,3 +67,55 @@ def test_rotating_the_target_keeps_the_certificate(f, g, plus_identity):
         f, g = f + X, g + Y
     for assume_det in (False, True):
         assert evidence(*rotated(f, g), assume_det) == evidence(f, g, assume_det)
+
+
+def verdicts(f: BivarPoly, g: BivarPoly) -> tuple[str, str, str | None]:
+    """The verdict, the determinant status and the monodromy outcome, None
+    when certify stops before the monodromy stage."""
+    cert = certify(f, g)
+    return cert.verdict, cert.det_status.status, cert.monodromy and cert.monodromy.outcome
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_polys, _polys, st.booleans())
+@example(*parse_map("f = x + x^3; g = y + x^2"), False)
+@example(*parse_map("f = x + x^3 + 3*x*y^2; g = y + 3*x^2*y + y^3"), False)  # det: Unknown
+@example(*parse_map("f = 26*x - 1/3*x^3; g = y"), False)  # a sign change among the sample
+@example(BivarPoly.zero(), BivarPoly.zero(), False)
+def test_swapping_negating_or_scaling_the_target_keeps_the_verdict(f, g, plus_identity):
+    if plus_identity:
+        f, g = f + X, g + Y
+    expected = verdicts(f, g)
+    for image in ((g, f), (-f, g), (f * 7, g * 7)):
+        assert verdicts(*image) == expected
+
+
+# Each mirror S of the plane as an edit of the map text and as a map of the
+# terms: x -> -x, y -> -y, and the swap of x and y.
+_MIRRORS = (
+    ({ord("x"): "(-x)"}, lambda i, j, c: ((i, j), -c if i % 2 else c)),
+    ({ord("y"): "(-y)"}, lambda i, j, c: ((i, j), -c if j % 2 else c)),
+    ({ord("x"): "y", ord("y"): "x"}, lambda i, j, c: ((j, i), c)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_polys, _polys, st.booleans())
+@example(*parse_map("f = x + x^3; g = y + x^2"), False)
+@example(*parse_map("f = x + x^3 + 3*x*y^2; g = y + 3*x^2*y + y^3"), False)
+@example(*parse_map("f = 26*x - 1/3*x^3; g = y"), False)
+def test_mirroring_the_input_never_turns_a_proof_into_a_zero(f, g, plus_identity):
+    if plus_identity:
+        f, g = f + X, g + Y
+    text = f"f = {f.to_string()}; g = {g.to_string()}"
+    verdict, status, outcome = verdicts(f, g)
+    for edit, mirror in _MIRRORS:
+        mf, mg = parse_map(text.translate(edit))
+        assert (mf, mg) == tuple(BivarPoly(dict(mirror(i, j, c) for (i, j), c in p.terms()))
+                                 for p in (f, g))
+        mirrored_verdict, mirrored_status, mirrored_outcome = verdicts(mf, mg)
+        assert not (verdict == INJECTIVE and mirrored_status == VANISHES)
+        assert not (mirrored_verdict == INJECTIVE and status == VANISHES)
+        # The origin's monodromy is a property of the mirrored field too.
+        if outcome and mirrored_outcome:
+            assert mirrored_outcome == outcome

@@ -165,14 +165,14 @@ _CAP = MAX_EXPONENT  # 2^62
     # Repeated squaring passes the cap at the square x^(2^63), before the
     # result's x^(3 * 2^62): the first product over the cap names the error.
     (f"(x^4)^{3 * _CAP // 4}", ExponentOverflowError, f"exponent {2 * _CAP} exceeds {_CAP}"),
-    # The running monomial of a term checks each product as mul_numerators
-    # does, literals and denominators in between included ...
+    # A term multiplies in each factor by mul_numerators, so it checks each
+    # product, literals and denominators in between included ...
     (f"2*x^{_CAP}*3*x", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
     (f"1/2*y^{_CAP}*x*y", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
     # The product overflows before the parser reads the unknown name after it.
     (f"x^{_CAP}*x*z", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
     (f"y^{_CAP}*y*z", ExponentOverflowError, f"exponent {_CAP + 1} exceeds {_CAP}"),
-    # ... and hands on to it at a parenthesised factor, which checks x first.
+    # ... and a parenthesised factor the same way, x first.
     (f"x^{_CAP}*y^{_CAP - 1}*(x*y^3)", ExponentOverflowError,
      f"exponent {_CAP + 1} exceeds {_CAP}"),
     ("2/0*x", ParseError, "zero denominator at byte 2"),
@@ -190,8 +190,8 @@ def test_hostile_inputs_that_parse():
     assert parse_poly(f"x^{_CAP}*0*x^{_CAP}*x") == 0
     assert parse_poly(f"0/1*y^{_CAP}*y") == 0
     assert parse_poly("3/4^2*x") == X * Fraction(9, 16)  # a rational literal is one atom
-    # A rational literal is read in lowest terms, so a power of it costs no
-    # more than the same power of its reduced value.
+    # A power's base is put in lowest terms first, so a power of a rational
+    # literal costs no more than the same power of its reduced value.
     assert parse_poly(f"2/2^{_CAP}*x") == X
     assert parse_poly(f"0/5^{_CAP}") == 0
     assert parse_poly(f"(x^2)^{_CAP // 2}") == BivarPoly.monomial(_CAP, 0)
@@ -202,6 +202,20 @@ def test_hostile_inputs_that_parse():
     assert parse_poly("0^0") == 1
     assert parse_poly("0^3") == 0
     assert parse_poly("(x + y)^0") == 1
+
+
+def test_every_power_goes_through_the_power_kernel(monkeypatch):
+    # A literal's, a variable's and a group's power are formed at one site.
+    pow_numerators = monodroma.parser.pow_numerators
+    calls = []
+
+    def counting(num, den, n):
+        calls.append(n)
+        return pow_numerators(num, den, n)
+
+    monkeypatch.setattr(monodroma.parser, "pow_numerators", counting)
+    assert parse_poly("2^3*x^2*(y)^2*3/4^2") == X**2 * Y**2 * Fraction(9, 2)  # 8 * (3/4)^2
+    assert calls == [3, 2, 2, 2]
 
 
 def test_tokenizing_is_linear_in_the_input():
@@ -313,8 +327,8 @@ _BIG_POWER_OF_A_GROUP = re.compile(r"\)\s*\^\s*0*([5-9]|[1-9][0-9])")
 
 
 # Sums of products whose factors mix literals, rationals, powers of
-# variables, short parenthesised sums and unary minuses, the shapes that a
-# term folds into one monomial or hands on to the product kernel.
+# variables, short parenthesised sums and unary minuses, every kind of
+# factor that a term's power, sign and product sites see.
 _FACTORS = st.tuples(
     st.sampled_from(("", "-", "- -")),
     st.one_of(

@@ -30,7 +30,7 @@ from monodroma import (
 from monodroma import field as field_module
 from monodroma.field import support_points, vector_coefficients
 from monodroma.polycore import (MAX_EXPONENT, ExponentOverflowError, _square_numerators,
-                                mul_monomial, mul_numerators)
+                                mul_numerators)
 from monodroma.realroots import UniPoly, dehomogenize
 
 X = BivarPoly.monomial(1, 0)
@@ -228,28 +228,6 @@ def test_square_kernel_raises_where_the_product_kernel_does(key, e):
     else:
         assert 2 * e <= MAX_EXPONENT
         assert _square_numerators(a) == expected
-
-
-_exponent = st.one_of(st.integers(0, 3), st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(st.integers(-3, 3), _exponent, _exponent, st.integers(-3, 3), _exponent, _exponent)
-@example(1, MAX_EXPONENT, MAX_EXPONENT, 1, 1, 2)  # x and y both pass the cap: x is named
-@example(0, MAX_EXPONENT, 0, 5, 1, 0)  # an empty side is not checked
-def test_monomial_kernel_equals_the_product_kernel(c, a, b, n, i, j):
-    # c = 0 stands for the empty numerators on either side and in the product.
-    def numerators(c, a, b):
-        return {(a, b): c} if c else {}
-
-    try:
-        expected = mul_numerators(numerators(c, a, b), numerators(n, i, j))
-    except ExponentOverflowError as err:
-        with pytest.raises(ExponentOverflowError) as got:
-            mul_monomial(c, a, b, n, i, j)
-        assert str(got.value) == str(err)
-    else:
-        assert numerators(*mul_monomial(c, a, b, n, i, j)) == expected
 
 
 # -- dehomogenize -----------------------------------------------------------------
