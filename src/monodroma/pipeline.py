@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .polycore import BivarPoly, Monomial, mul_numerators
 from .field import PlanarField, common_real_linear_factors, hamiltonian_field
@@ -114,30 +114,57 @@ def _sample_points() -> tuple[Point, ...]:
 
 _SAMPLE_POINTS = _sample_points()
 
+# Powers of the sample coordinates at or below this exponent are kept once
+# formed; higher ones are formed on every use.  Filled to the cap, the 20
+# vectors of the blocks hold about 0.3 MB.
+_POWER_CAP = 16
+
+
+class _Powers(dict):
+    """The powers of one coordinate vector, by exponent: ``self[e]`` yields
+    base[n]**e for every n.  For e <= _POWER_CAP that is a tuple, kept once
+    formed: the ones at e = 0 with the vector, any other on first use.
+    Above the cap it is a fresh one-pass iterator, so no vector of big
+    powers is ever held whole."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: tuple[int, ...]):
+        super().__init__({0: (1,) * len(base)})
+        self.base = base
+
+    def __missing__(self, e: int) -> Iterable[int]:
+        if e > _POWER_CAP:
+            return map(pow, self.base, repeat(e))
+        powers = self[e] = tuple(map(pow, self.base, repeat(e)))
+        return powers
+
+
 # The sample in evaluation order.  First the 21 grid columns (kx, points),
 # point n of a column at y = ky/2 for ky = _HALVES[n]; then the pseudo-random
-# points in blocks (points, a, b, c, d), point n at (a[n]/b[n], c[n]/d[n]).
+# points in blocks (points, a, b, c, d), point n at (a[n]/b[n], c[n]/d[n]),
+# each of a, b, c, d the _Powers of that integer vector.
 _GRID_COLUMNS = tuple((kx, _SAMPLE_POINTS[n * len(_HALVES):(n + 1) * len(_HALVES)])
                       for n, kx in enumerate(_HALVES))
 _BLOCKS = tuple(
-    (block, *zip(*((x.numerator, x.denominator, y.numerator, y.denominator) for x, y in block)))
+    (block, *map(_Powers, zip(*((x.numerator, x.denominator, y.numerator, y.denominator)
+                                for x, y in block))))
     for block in (_SAMPLE_POINTS[n:n + _BLOCK]
                   for n in range(len(_HALVES) ** 2, len(_SAMPLE_POINTS), _BLOCK)))
 
 
 def _block_values(rows: Mapping[int, list[tuple[int, int]]], x_exps: set[int], dx: int, dy: int,
-                  a: tuple[int, ...], b: tuple[int, ...],
-                  c: tuple[int, ...], d: tuple[int, ...]) -> list[int]:
+                  a: _Powers, b: _Powers, c: _Powers, d: _Powers) -> list[int]:
     """b^dx d^dy den det(a/b, c/d), which has det's sign, at every point of a
     block: the sum over (i, j) of n_ij a^i b^(dx - i) c^j d^(dy - j), with
     ``rows`` the terms (i, n_ij) of det's numerators by y exponent j."""
-    xs = {i: list(map(mul, map(pow, a, repeat(i)), map(pow, b, repeat(dx - i)))) for i in x_exps}
+    xs = {i: list(map(mul, a[i], b[dx - i])) for i in x_exps}
     values = repeat(0)
     for j, terms in rows.items():
         row = repeat(0)
         for i, n in terms:
             row = list(map(add, row, map(mul, xs[i], repeat(n))))
-        ys = map(mul, map(pow, c, repeat(j)), map(pow, d, repeat(dy - j)))
+        ys = map(mul, c[j], d[dy - j])
         values = list(map(add, values, map(mul, row, ys)))
     return values
 
@@ -171,7 +198,12 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
     O(distinct y exponents), stepping by their gaps rather than over a
     dense degree range.  The pseudo-random points go in blocks of 20, all
     the points of a block at once: a vector of integer values per x
-    exponent and per y row, formed by C-level ``map``.  A block of one sign
+    exponent and per y row, formed by C-level ``map``.  The powers of the
+    fixed sample coordinates these vectors are built from are kept across
+    calls, one tuple per coordinate vector and exponent, formed on first
+    use; only exponents up to ``_POWER_CAP`` are kept, so a det such as
+    x^40000 - 2x^20000 + 2 forms its high powers afresh on every call and
+    keeps none of them past it.  A block of one sign
     is settled by its minimum and maximum; only a mixed block is scanned
     point by point.
     """

@@ -11,13 +11,17 @@ one form: its primitive integer multiple (``UniPoly``).  One integer
 pseudo-division serves division, the gcd (primitive PRS, Collins 1967), the
 square-free part and the Sturm chain successor step.
 
-Root isolation first applies Descartes' rule of signs: a polynomial has at
-most as many positive roots, counted with multiplicity, as sign changes in
-its nonzero coefficients, so with no sign change in p(x) and none in p(-x)
-it has no nonzero real root, a proof from one sign read per coefficient;
-nor has a quadratic with a negative discriminant, one integer comparison.
-Every other isolation, and every root count, is Sturm's method on those
-chains; one sign-variation count serves Descartes and Sturm alike.
+Root isolation tries four steps in turn.  Descartes' rule of signs: a
+polynomial has at most as many positive roots, counted with multiplicity,
+as sign changes in its nonzero coefficients, so with no sign change in p(x)
+and none in p(-x) it has no nonzero real root, a proof from one sign read
+per coefficient.  The quadratic exit: nor has a quadratic with a negative
+discriminant, one integer comparison.  The count: one Sturm chain of p
+without its root at zero, whose leading coefficients' signs at +-inf give
+the number of distinct nonzero real roots; 0 ends there.  The bisection:
+the chain's last entry gives the square-free part, whose roots one Sturm
+bisection isolates.  Every root count is Sturm's method on these chains;
+one sign-variation count serves Descartes and Sturm alike.
 
 Every value and sign comes from one integer Horner loop on the homogenized
 form at a projective point (num : den): den > 0 is the rational num/den, and
@@ -203,14 +207,24 @@ def _homogenized(coeffs: Sequence[int], num: int, den: int) -> tuple[int, int]:
     (0, 1) for no coefficients.
 
     For den != 0 the ratio is the value at num/den; at (+-1 : 0) the first
-    entry is lc * (+-1)^n, whose sign is the polynomial's near +-inf.
+    entry is lc * (+-1)^n, whose sign is the polynomial's near +-inf.  The
+    loop steps over zero coefficients by their gaps, one power of num and of
+    den per nonzero coefficient, so a sparse form such as lambda^N + 1
+    costs a few big powers, not N products of growing integers.
     """
     it = reversed(coeffs)
-    acc, scale = next(it, 0), 1
+    acc, scale, gap = next(it, 0), 1, 1  # gap: the distance down from the last nonzero c read
     for c in it:
-        scale *= den
-        acc = acc * num + c * scale
-    return acc, scale
+        if not c:
+            gap += 1
+        elif gap == 1:
+            scale *= den
+            acc = acc * num + c * scale
+        else:
+            scale *= den**gap
+            acc = acc * num**gap + c * scale
+            gap = 1
+    return acc * num**(gap - 1), scale * den**(gap - 1)
 
 
 def _variations(values: Iterable[int]) -> int:
@@ -297,8 +311,20 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     zero is on neither side.  When neither shows a sign change there is no
     nonzero real root, a proof read off one sign per coefficient; a nonzero
     constant is such a p.  A quadratic c0 + c1*x + c2*x^2 with a negative
-    discriminant, c1^2 < 4*c0*c2, has no real root either.  Every other p
-    goes to one Sturm bisection (``_sturm_roots``).
+    discriminant, c1^2 < 4*c0*c2, has no real root either.
+
+    Every other p is divided by its root at zero, lambda^k, and the Sturm
+    chain of that quotient q is built once.  Sturm's theorem holds for the
+    chain of q, p_0 = q, p_1 = q', ... with each next entry -(rem), whether
+    or not q is square-free: between two points that are not roots, the
+    drop in sign variations counts the distinct roots.  At +-inf each
+    entry has the sign of its leading coefficient times (+-1)^degree, so
+    V(-inf) - V(+inf) is the number of distinct nonzero real roots of p,
+    read off one sign per entry.  When it is 0 there is no root to isolate.
+    Otherwise the chain's last entry is gcd(q, q') up to a nonzero factor:
+    a constant when q is square-free, and then the chain serves the
+    bisection too; else q divided by it is the square-free part, with a
+    chain of its own.  ``_sturm_roots`` isolates the roots.
     """
     if p.is_zero:
         raise ZeroPolynomialError("roots of the zero polynomial")
@@ -307,30 +333,34 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
         return []
     if len(cs) == 3 and cs[1] * cs[1] < 4 * cs[0] * cs[2]:
         return []
-    return _sturm_roots(p)
-
-
-def _sturm_roots(p: UniPoly) -> list[FactorWitness]:
-    """``nonzero_real_roots`` of a nonzero p by one Sturm bisection alone.
-
-    With lc the leading coefficient of the primitive square-free part,
-    every rational root is k/lc for an integer k, and every root lies in
-    (-e, e) for the half-grid point e = (2T + 1)/(2 lc),
-    T = ceil(cauchy_bound * lc).  Bisecting (-e, 0) and (0, e) cuts only at
-    odd multiples of e/2^s, which are never grid points and so never roots:
-    the variation difference V(a) - V(b) counts the roots of every open
-    piece (a, b).  A piece with one root, neither end at zero, and narrower
-    than 1/lc holds at most one grid point, k/lc with k = ceil(a * lc), and
-    its root is that point exactly when the point lies in the piece and is
-    a root.
-    """
-    ps = squarefree_part(p)
-    k = next(i for i, c in enumerate(ps.coeffs) if c)
-    if k:
-        ps = UniPoly(ps.coeffs[k:])
-    if ps.degree == 0:
+    q = p if cs[0] else UniPoly(cs[next(i for i, c in enumerate(cs) if c):])
+    chain = sturm_chain(q)
+    at_plus = _variations(c[-1] for c in chain)
+    at_minus = _variations(c[-1] if len(c) % 2 else -c[-1] for c in chain)
+    if at_minus == at_plus:
         return []
-    chain = sturm_chain(ps)
+    if len(chain[-1]) == 1:  # gcd(q, q') is a constant: q is square-free
+        return _sturm_roots(_positive(q), chain)
+    ps = _positive(UniPoly(_pseudo_divmod(q.coeffs, chain[-1])[0]))  # exact: the gcd divides q
+    return _sturm_roots(ps, sturm_chain(ps))
+
+
+def _sturm_roots(ps: UniPoly, chain: list[tuple[int, ...]]) -> list[FactorWitness]:
+    """Every nonzero real root of ps by one Sturm bisection.
+
+    ps is square-free, primitive, with a positive leading coefficient lc,
+    no root at zero and at least one real root; chain[0] is a nonzero
+    multiple of ps, and the chain's variation drop between two points that
+    are not roots counts ps's roots between them.  Every rational root is
+    k/lc for an integer k, and every root lies in (-e, e) for the half-grid
+    point e = (2T + 1)/(2 lc), T = ceil(cauchy_bound * lc).  Bisecting
+    (-e, 0) and (0, e) cuts only at odd multiples of e/2^s, which are never
+    grid points and so never roots: the variation difference V(a) - V(b)
+    counts the roots of every open piece (a, b).  A piece with one root,
+    neither end at zero, and narrower than 1/lc holds at most one grid
+    point, k/lc with k = ceil(a * lc), and its root is that point exactly
+    when the point lies in the piece and is a root.
+    """
     lc = ps.coeffs[-1]
     odd = 2 * ceil(cauchy_bound(ps) * lc) + 1  # e = odd / (2 lc)
 

@@ -50,6 +50,7 @@ from monodroma.pipeline import (
     _BLOCKS,
     _GRID_COLUMNS,
     _HALVES,
+    _POWER_CAP,
     _SAMPLE_POINTS,
     ASSUMED,
     INCONCLUSIVE,
@@ -222,6 +223,11 @@ def _reference_status(det: BivarPoly) -> DetStatus:
 
 _sparse_dets = hst.dictionaries(
     hst.tuples(hst.integers(0, 60), hst.integers(0, 60)), _det_coeffs, max_size=4).map(BivarPoly)
+# Exponents on both sides of the power cache's cap, so that one det reads
+# kept powers and powers formed afresh.
+_around_the_cap = hst.integers(0, 3) | hst.integers(_POWER_CAP - 2, _POWER_CAP + 3)
+_capped_dets = hst.dictionaries(
+    hst.tuples(_around_the_cap, _around_the_cap), _det_coeffs, max_size=5).map(BivarPoly)
 # A zero planted on the column x = x0 of a pseudo-random sample point.
 _planted_dets = hst.builds(lambda x0, h: (X - BivarPoly.const(x0)) * h,
                            hst.sampled_from([x for x, _ in _SAMPLE_POINTS[-100:]]), _dets)
@@ -249,8 +255,18 @@ _planted_point_zeros = hst.builds(lambda point, sign: sign * _point_zero(*point)
                                   hst.sampled_from(_SAMPLE_POINTS[-100:]), hst.sampled_from([1, -1]))
 
 
+def _kept_exponents() -> set[int]:
+    return {e for _, *vectors in _BLOCKS for powers in vectors for e in powers}
+
+
+def _clear_power_caches() -> None:
+    for _, *vectors in _BLOCKS:
+        for powers in vectors:
+            powers.clear()
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(hst.one_of(_dets, _sparse_dets, _planted_dets, _planted_point_zeros))
+@given(hst.one_of(_dets, _sparse_dets, _capped_dets, _planted_dets, _planted_point_zeros))
 @example(parse_poly("x*y^3 - y"))  # zero on the y = 0 row through the trailing y factor
 @example(parse_poly("x*y^3 - 1"))
 @example(parse_poly("(x^100 - y^100)^2 + 1"))
@@ -265,8 +281,29 @@ _planted_point_zeros = hst.builds(lambda point, sign: sign * _point_zero(*point)
 @example(_point_zero(*_SAMPLE_POINTS[-1]))
 def test_det_status_matches_the_point_by_point_reference(det):
     # Same points, same order: the same first zero, or the same first
-    # positive and first negative point, or Unknown on both sides.
-    assert det_nonvanishing_heuristic(det) == _reference_status(det)
+    # positive and first negative point, or Unknown on both sides.  First
+    # with the powers that earlier examples left in the cache, then with
+    # every power formed afresh.
+    reference = _reference_status(det)
+    assert det_nonvanishing_heuristic(det) == reference
+    _clear_power_caches()
+    assert det_nonvanishing_heuristic(det) == reference
+    assert max(_kept_exponents(), default=0) <= _POWER_CAP
+
+
+def test_power_cache_keeps_no_exponent_above_the_cap():
+    # x^40000 - 2x^20000 + 2 > 0 reaches every block; the powers it needs
+    # above the cap are formed for the call and dropped.
+    _clear_power_caches()
+    status = det_nonvanishing_heuristic(parse_poly("x^40000 - 2*x^20000 + 2"))
+    assert status.status == UNKNOWN
+    assert _kept_exponents() == {0}
+    # (x^8 y^9 - 1)^2 + 1 > 0 needs x to the 0, 8 and 16 and y to the 0, 9
+    # and 18: all but y^18 are kept.
+    assert _POWER_CAP == 16
+    status = det_nonvanishing_heuristic(parse_poly("x^16*y^18 - 2*x^8*y^9 + 2"))
+    assert status.status == UNKNOWN
+    assert _kept_exponents() == {0, 8, 9, 16}
 
 
 def test_det_sampling_layout_lists_the_sample_in_order():
@@ -278,7 +315,8 @@ def test_det_sampling_layout_lists_the_sample_in_order():
     assert len(_GRID_COLUMNS) == 21 and [len(block) for block, *_ in _BLOCKS] == [20] * 5
     for kx, column in _GRID_COLUMNS:
         assert column == tuple((Fraction(kx, 2), Fraction(ky, 2)) for ky in _HALVES)
-    for block, a, b, c, d in _BLOCKS:
+    for block, *vectors in _BLOCKS:
+        a, b, c, d = (powers.base for powers in vectors)
         assert block == tuple((Fraction(*x), Fraction(*y))
                               for x, y in zip(zip(a, b), zip(c, d)))
         assert min(b) > 0 and min(d) > 0

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
 from unittest import mock
 
 import pytest
@@ -261,19 +261,86 @@ _any_quadratics = st.tuples(st.integers(-20, 20), st.integers(-20, 20),
 @example(lam(2, -3, 1))                   # (x - 1)(x - 2): discriminant 1
 @example(lam(-1, 0, 3))                   # 3x^2 - 1: discriminant 12, irrational roots
 @example(lam(0, 1, 1))                    # x(x + 1): discriminant 1, one root at zero
+@example(lam(1, 0, -1, 0, 1))             # x^4 - x^2 + 1: sign changes, no real root
 def test_descartes_exit_agrees_with_sturm(p):
     cs = p.coeffs
     alternated = [-c if i % 2 else c for i, c in enumerate(cs)]
     # Descartes' bound allows no nonzero root, or a quadratic has a negative discriminant.
-    settled = ((not _sign_changes(cs) and not _sign_changes(alternated))
-               or (len(cs) == 3 and cs[1] ** 2 - 4 * cs[0] * cs[2] < 0))
-    with mock.patch.object(realroots, "_sturm_roots", wraps=realroots._sturm_roots) as sturm:
+    exits = ((not _sign_changes(cs) and not _sign_changes(alternated))
+             or (len(cs) == 3 and cs[1] ** 2 - 4 * cs[0] * cs[2] < 0))
+    count = sturm_count(p, None, Fraction(0)) + sturm_count(p, Fraction(0), None)
+    with mock.patch.object(realroots, "sturm_chain", wraps=realroots.sturm_chain) as chain, \
+            mock.patch.object(realroots, "_sturm_roots", wraps=realroots._sturm_roots) as bisect:
         witnesses = nonzero_real_roots(p)
-    assert sturm.called != settled
-    assert len(witnesses) == sturm_count(p, None, Fraction(0)) + sturm_count(p, Fraction(0), None)
-    assert witnesses == realroots._sturm_roots(p)
+    # The two exits come before any chain; past them, the chain's count
+    # settles p when it finds no nonzero real root.
+    assert chain.called != exits
+    assert bisect.called != (exits or not count)
+    assert len(witnesses) == count
+    assert witnesses == _reference_roots(p)
     assert sturm_count(p, Fraction(0), None) <= _sign_changes(p.coeffs)
     assert sturm_count(p, None, Fraction(0)) <= _sign_changes(alternated)
+
+
+def _reference_roots(p):
+    """nonzero_real_roots with no exit: the square-free part by a gcd, its
+    Sturm chain, then the half-grid bisection, every sign from a Fraction
+    sum."""
+    ps = squarefree_part(p)
+    ps = UniPoly(ps.coeffs[next(i for i, c in enumerate(ps.coeffs) if c):])
+    if ps.degree == 0:
+        return []
+    chain = sturm_chain(ps)
+    lc = ps.coeffs[-1]
+    e = Fraction(2 * ceil(cauchy_bound(ps) * lc) + 1, 2 * lc)
+
+    def variations(x):
+        return _sign_changes([_value(c, x) for c in chain])
+
+    found, stack = [], [(Fraction(0), e), (-e, Fraction(0))]
+    while stack:
+        a, b = stack.pop()
+        drop = variations(a) - variations(b)
+        if not drop:
+            continue
+        if drop == 1 and a and b and b - a < Fraction(1, lc):
+            grid = Fraction(ceil(a * lc), lc)
+            exact = grid if grid < b and _value(ps.coeffs, grid) == 0 else None
+            found.append(FactorWitness(a, b, 1 if a > 0 else -1, exact))
+            continue
+        stack += [((a + b) / 2, b), (a, (a + b) / 2)]
+    return found
+
+
+def _power(p, k):
+    out = lam(1)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+# scale * x^z * prod (x - r)^m * (x^2 - x + 1)^k * (c x^n + d): planted
+# multiple roots, roots at zero, a root-free factor and a binomial.
+_counted_polys = st.builds(
+    lambda roots, z, k, binomial, scale: (
+        _planted([r for r, m in roots for _ in range(m)], [], z, scale)
+        * _power(lam(1, -1, 1), k) * binomial),
+    st.lists(st.tuples(st.fractions(-20, 20, max_denominator=6), st.integers(1, 3)), max_size=3),
+    _zero_powers, st.integers(0, 3),
+    st.just(lam(1)) | st.builds(lambda n, c, d: lam(d, *[0] * (n - 1), c),
+                                st.integers(1, 9), st.integers(-9, 9).filter(bool),
+                                st.integers(-40, 40).filter(bool)),
+    _scales)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_counted_polys)
+@example(_power(lam(1, -1, 1), 3))                # root-free, past both exits
+@example(lam(0, 1) * _power(lam(-2, 1), 2) * lam(1, -1, 1))  # a double root beside a root-free factor
+@example(lam(-5, 0, 0, 0, 0, 0, 0, 1))            # x^7 - 5: one irrational root
+@example(lam(0, 0, 3, 0, 0, 0, 1))                # x^2 (x^4 + 3): no nonzero real root
+def test_nonzero_real_roots_match_the_reference_without_exits(p):
+    assert nonzero_real_roots(p) == _reference_roots(p)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -376,6 +443,30 @@ def _positive_multiple(ints, fracs):
         return False
     scale = Fraction(ints[-1]) / fracs[-1]
     return scale > 0 and all(i == scale * f for i, f in zip(ints, fracs))
+
+
+def _dense_homogenized(coeffs, num, den):
+    """(sum c_i num^i den^(n-i), den^n), one term per coefficient, zeros included."""
+    n = len(coeffs) - 1
+    return sum(c * num ** i * den ** (n - i) for i, c in enumerate(coeffs)), den ** max(n, 0)
+
+
+# Mostly zeros, so that runs of every length sit between, above and below
+# the nonzero coefficients.
+_sparse_coeffs = st.lists(st.just(0) | st.just(0) | st.just(0) | st.integers(-50, 50), max_size=40)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_sparse_coeffs, st.integers(-1000, 1000), st.integers(0, 1000) | st.just(0))
+@example([], 3, 2)
+@example([5], 3, 0)
+@example([1] + [0] * 300 + [-1], 7, 3)      # 1 - x^301: one gap of 300
+@example([0, 0, 0, 2, 0, 1], -3, 2)         # x^3 (2 + x^2): the gap down to the last term
+@example([0, 0, 0, 2, 0, 1], 1, 0)          # at +inf
+@example([4, 0, 0, 0, 0, 0, -1], -1, 0)     # at -inf
+@example([0, 0, 1], 0, 5)                   # at zero
+def test_homogenized_steps_over_zero_coefficients(coeffs, num, den):
+    assert realroots._homogenized(coeffs, num, den) == _dense_homogenized(coeffs, num, den)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
