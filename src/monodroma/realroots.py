@@ -217,9 +217,6 @@ def _homogenized(coeffs: Sequence[int], num: int, den: int) -> tuple[int, int]:
     for c in it:
         if not c:
             gap += 1
-        elif gap == 1:
-            scale *= den
-            acc = acc * num + c * scale
         else:
             scale *= den**gap
             acc = acc * num**gap + c * scale
@@ -318,9 +315,10 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     chain of q, p_0 = q, p_1 = q', ... with each next entry -(rem), whether
     or not q is square-free: between two points that are not roots, the
     drop in sign variations counts the distinct roots.  At +-inf each
-    entry has the sign of its leading coefficient times (+-1)^degree, so
-    V(-inf) - V(+inf) is the number of distinct nonzero real roots of p,
-    read off one sign per entry.  When it is 0 there is no root to isolate.
+    entry has the sign of its leading coefficient times (+-1)^degree, read
+    by ``_sturm_at`` at the points (+-1 : 0), so V(-inf) - V(+inf) is the
+    number of distinct nonzero real roots of p.  When it is 0 there is no
+    root to isolate.
     Otherwise the chain's last entry is gcd(q, q') up to a nonzero factor:
     a constant when q is square-free, and then the chain serves the
     bisection too; else q divided by it is the square-free part, with a
@@ -335,9 +333,7 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
         return []
     q = p if cs[0] else UniPoly(cs[next(i for i, c in enumerate(cs) if c):])
     chain = sturm_chain(q)
-    at_plus = _variations(c[-1] for c in chain)
-    at_minus = _variations(c[-1] if len(c) % 2 else -c[-1] for c in chain)
-    if at_minus == at_plus:
+    if _sturm_at(chain, -1, 0)[1] == _sturm_at(chain, 1, 0)[1]:
         return []
     if len(chain[-1]) == 1:  # gcd(q, q') is a constant: q is square-free
         return _sturm_roots(_positive(q), chain)
