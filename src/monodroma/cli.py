@@ -38,6 +38,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _print_conditions(reports) -> None:
+    for report in reports:
+        print(f"  ({report.condition}) {'pass' if report.passed else 'FAIL'}: {report.detail}")
+
+
 def _print_certificate(cert, cima: Optional[bool], windings: list) -> None:
     print(f"verdict: {cert.verdict}")
     if cert.reason:
@@ -59,9 +64,7 @@ def _print_certificate(cert, cima: Optional[bool], windings: list) -> None:
             print(f"beta{pt} = {beta}")
     if cert.monodromy is not None:
         print(f"monodromy: {cert.monodromy.outcome}")
-        for report in cert.monodromy.conditions:
-            mark = "pass" if report.passed else "FAIL"
-            print(f"  ({report.condition}) {mark}: {report.detail}")
+        _print_conditions(cert.monodromy.conditions)
     if cima is not None:
         print(f"coprime leading forms: {'yes' if cima else 'no'}")
     for radius, run in windings:
@@ -126,9 +129,7 @@ def _cmd_monodromy(args: argparse.Namespace) -> int:
     print(f"monodromy: {verdict.outcome}")
     if verdict.reason:
         print(f"reason: {verdict.reason}")
-    for report in verdict.conditions:
-        mark = "pass" if report.passed else "FAIL"
-        print(f"  ({report.condition}) {mark}: {report.detail}")
+    _print_conditions(verdict.conditions)
     return 0
 
 
@@ -156,8 +157,7 @@ def _cmd_factor_test(args: argparse.Namespace) -> int:
     # Format every line before printing any, so an error prints nothing.
     if result.has_factor:
         lines = [f"h has a factor v^{t[0]} - a*u^{t[1]} for:"]
-        lines += [f"  a = {w.exact}" if w.exact is not None else f"  a in ({w.lo}, {w.hi})"
-                  for w in result.witnesses]
+        lines += [f"  {w}" for w in result.witnesses]
     else:
         lines = [f"h has no factor v^{t[0]} - a*u^{t[1]} with real nonzero a"]
     print("\n".join(lines))

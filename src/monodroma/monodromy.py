@@ -125,10 +125,7 @@ def check_monodromic(diagram: NewtonDiagram) -> MonodromyVerdict:
         test = quasi_factor_test(edge.h, edge.t)
         edge_tests.append((idx, test))
         if test.has_factor:
-            spots = ", ".join(
-                f"a = {w.exact}" if w.exact is not None else f"a in ({w.lo}, {w.hi})"
-                for w in test.witnesses
-            )
+            spots = ", ".join(map(str, test.witnesses))
             d_witnesses.append(f"{_edge_label(edge)} has factor v^{edge.t[0]} - a*u^{edge.t[1]}: {spots}")
     reports.append(ConditionReport(
         "d", not d_witnesses,

@@ -7,9 +7,11 @@ real a != 0 exactly when the dehomogenized form has a nonzero real root.
 
 Every consumer reads only roots and signs, and neither changes when a
 polynomial is multiplied by a positive rational, so a polynomial is kept in
-one form: its primitive integer multiple (``UniPoly``).  One integer
-pseudo-division serves division, the gcd (primitive PRS, Collins 1967), the
-square-free part and the Sturm chain successor step.
+one form: its primitive integer multiple (``UniPoly``).  One remainder
+sequence, the primitive PRS (Collins 1967) by integer pseudo-division, is
+both the Sturm chain of (p, p') and the gcd of any two polynomials; one
+square-free step reads gcd(p, p') off the chain's last entry and divides
+it out.
 
 Root isolation tries four steps in turn.  Descartes' rule of signs: a
 polynomial has at most as many positive roots, counted with multiplicity,
@@ -125,19 +127,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly([k * c for k, c in enumerate(self._coeffs)][1:])
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Quotient and remainder, each up to the same positive factor."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        q, r = _pseudo_divmod(self._coeffs, other._coeffs)
-        return UniPoly(q), UniPoly(r)
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
-
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
     """Pseudo-division over the integers: |lc(b)|^k * a = q*b + r, deg r < deg b.
@@ -164,15 +153,48 @@ def _positive(p: UniPoly) -> UniPoly:
     return p * -1 if p.coeffs and p.coeffs[-1] < 0 else p
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Greatest common divisor, primitive with a positive leading coefficient.
+def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The primitive PRS (Collins 1967) of primitive a and b: a, then b
+    unless it is zero, then the primitive part of -prem of the last two,
+    up to a zero remainder or a constant.
 
-    The primitive PRS: Euclid with each pseudo-remainder reduced to its
-    primitive part, all in integers.
+    The last entry is gcd(a, b) up to a nonzero factor.  Pseudo-division
+    scales by a positive factor, so every entry has the sign of the
+    rational Euclid's -(rem) and the sequence on (p, p') is a Sturm chain.
     """
-    while not b.is_zero:
-        a, b = b, UniPoly(_pseudo_divmod(a.coeffs, b.coeffs)[1])
-    return _positive(a)
+    seq = [a]
+    if b:
+        seq.append(b)
+        while len(seq[-1]) > 1 and (r := _pseudo_divmod(seq[-2], seq[-1])[1]):
+            seq.append(_primitive([-c for c in r]))
+    return seq
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Greatest common divisor, primitive with a positive leading coefficient;
+    zero when a and b are."""
+    return _positive(UniPoly(_remainder_sequence(a.coeffs, b.coeffs)[-1]))
+
+
+def sturm_chain(p: UniPoly) -> list[tuple[int, ...]]:
+    """Sturm chain of p, each entry the coefficients of a UniPoly: the
+    remainder sequence of p and p'."""
+    return _remainder_sequence(p.coeffs, p.derivative().coeffs)
+
+
+def _squarefree(q: UniPoly, chain: list[tuple[int, ...]]) -> tuple[UniPoly, list[tuple[int, ...]]]:
+    """The square-free part of nonzero q and its Sturm chain, from
+    chain = sturm_chain(q).
+
+    The part is primitive with a positive leading coefficient.  The chain's
+    last entry is gcd(q, q') up to a nonzero factor: a constant when q is
+    square-free, and then the chain is the part's too; else the exact
+    pseudo-quotient of q by it is the part, with a chain of its own.
+    """
+    if len(chain[-1]) == 1:
+        return _positive(q), chain
+    ps = _positive(UniPoly(_pseudo_divmod(q.coeffs, chain[-1])[0]))
+    return ps, sturm_chain(ps)
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -182,24 +204,7 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     """
     if p.is_zero:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
-    return _positive(p.exact_div(poly_gcd(p, p.derivative())))
-
-
-def sturm_chain(p: UniPoly) -> list[tuple[int, ...]]:
-    """Sturm chain of p, each entry the coefficients of a UniPoly.
-
-    The successor of (a, b) is the primitive part of -(a mod b), computed
-    by pseudo-division; positive factors leave every sign unchanged.
-    """
-    chain = [p.coeffs]
-    if len(p.coeffs) > 1:
-        chain.append(p.derivative().coeffs)
-        while len(chain[-1]) > 1:
-            r = _pseudo_divmod(chain[-2], chain[-1])[1]
-            if not r:
-                break
-            chain.append(UniPoly([-c for c in r]).coeffs)
-    return chain
+    return _squarefree(p, sturm_chain(p))[0]
 
 
 def _homogenized(coeffs: Sequence[int], num: int, den: int) -> tuple[int, int]:
@@ -249,10 +254,7 @@ def sturm_count(p: UniPoly, lo: Optional[Fraction] = None, hi: Optional[Fraction
         return 0
     if lo is not None and hi is not None and lo >= hi:
         raise ValueError("empty interval")
-    ps = squarefree_part(p)
-    if ps.degree == 0:
-        return 0
-    chain = sturm_chain(ps)
+    _, chain = _squarefree(p, sturm_chain(p))
     a = (-1, 0) if lo is None else (lo.numerator, lo.denominator)
     b = (1, 0) if hi is None else (hi.numerator, hi.denominator)
     _, va = _sturm_at(chain, *a)
@@ -294,6 +296,10 @@ class FactorWitness:
         if self.exact is not None and not self.lo < self.exact < self.hi:
             raise ValueError("exact root outside its interval")
 
+    def __str__(self) -> str:
+        """The root as the factor test prints it: ``a = 3/2`` or ``a in (lo, hi)``."""
+        return f"a = {self.exact}" if self.exact is not None else f"a in ({self.lo}, {self.hi})"
+
 
 def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     """Isolate every real root of p other than zero.
@@ -318,11 +324,8 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     entry has the sign of its leading coefficient times (+-1)^degree, read
     by ``_sturm_at`` at the points (+-1 : 0), so V(-inf) - V(+inf) is the
     number of distinct nonzero real roots of p.  When it is 0 there is no
-    root to isolate.
-    Otherwise the chain's last entry is gcd(q, q') up to a nonzero factor:
-    a constant when q is square-free, and then the chain serves the
-    bisection too; else q divided by it is the square-free part, with a
-    chain of its own.  ``_sturm_roots`` isolates the roots.
+    root to isolate.  Otherwise ``_squarefree`` takes the square-free part
+    and its chain from this one, and ``_sturm_roots`` isolates the roots.
     """
     if p.is_zero:
         raise ZeroPolynomialError("roots of the zero polynomial")
@@ -335,10 +338,7 @@ def nonzero_real_roots(p: UniPoly) -> list[FactorWitness]:
     chain = sturm_chain(q)
     if _sturm_at(chain, -1, 0)[1] == _sturm_at(chain, 1, 0)[1]:
         return []
-    if len(chain[-1]) == 1:  # gcd(q, q') is a constant: q is square-free
-        return _sturm_roots(_positive(q), chain)
-    ps = _positive(UniPoly(_pseudo_divmod(q.coeffs, chain[-1])[0]))  # exact: the gcd divides q
-    return _sturm_roots(ps, sturm_chain(ps))
+    return _sturm_roots(*_squarefree(q, chain))
 
 
 def _sturm_roots(ps: UniPoly, chain: list[tuple[int, ...]]) -> list[FactorWitness]:

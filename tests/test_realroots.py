@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monodroma import BivarPoly, quasi_factor_test, realroots
+from monodroma import BivarPoly, ZeroPolynomialError, quasi_factor_test, realroots
 from monodroma.realroots import (
     FactorWitness,
     UniPoly,
@@ -282,14 +282,24 @@ def test_descartes_exit_agrees_with_sturm(p):
     assert sturm_count(p, None, Fraction(0)) <= _sign_changes(alternated)
 
 
+def _fraction_squarefree(cs):
+    """cs divided by gcd(cs, cs'), both by Euclid and long division over Fractions."""
+    a, b = [Fraction(c) for c in cs], [k * c for k, c in enumerate(cs)][1:]
+    while b:
+        a, b = b, _naive_divmod(a, b)[1]
+    return _naive_divmod(cs, a)[0]
+
+
 def _reference_roots(p):
-    """nonzero_real_roots with no exit: the square-free part by a gcd, its
-    Sturm chain, then the half-grid bisection, every sign from a Fraction
-    sum."""
-    ps = squarefree_part(p)
+    """nonzero_real_roots with no exit: the square-free part by a Euclid of
+    its own, its Sturm chain, then the half-grid bisection, every sign from
+    a Fraction sum."""
+    ps = UniPoly(_fraction_squarefree(p.coeffs))
     ps = UniPoly(ps.coeffs[next(i for i, c in enumerate(ps.coeffs) if c):])
     if ps.degree == 0:
         return []
+    if ps.coeffs[-1] < 0:
+        ps = ps * -1
     chain = sturm_chain(ps)
     lc = ps.coeffs[-1]
     e = Fraction(2 * ceil(cauchy_bound(ps) * lc) + 1, 2 * lc)
@@ -487,9 +497,12 @@ def test_unipoly_is_the_primitive_integer_multiple(cs, scale, points):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_fraction_polys, _fraction_polys)
 def test_pseudo_division_and_sturm_chain_match_fraction_arithmetic(a, b):
-    q, r = UniPoly(a).divmod(UniPoly(b))
-    naive_q, naive_r = _naive_divmod(a, b)
-    assert q == UniPoly(naive_q) and r == UniPoly(naive_r)
+    ints_a, ints_b = UniPoly(a).coeffs, UniPoly(b).coeffs
+    q, r = realroots._pseudo_divmod(ints_a, ints_b)
+    naive_q, naive_r = _naive_divmod(ints_a, ints_b)
+    # |lc(b)|^k * a = q*b + r with k = deg a - deg b + 1, or k = 0 when deg a < deg b.
+    scale = abs(ints_b[-1]) ** max(len(ints_a) - len(ints_b) + 1, 0)
+    assert q == [scale * c for c in naive_q] and r == [scale * c for c in naive_r]
     chain = sturm_chain(UniPoly(a))
     naive = _naive_sturm_chain(a) if len(a) > 1 else [a]
     assert len(chain) == len(naive)
@@ -523,6 +536,9 @@ def _from_sympy(poly):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(st.lists(_linear, max_size=3), st.lists(_linear, max_size=3), st.lists(_linear, max_size=3),
        st.lists(_fraction_polys, max_size=2))
+@example([], [], [], [])                      # a = b = 1: constant operands and part
+@example([], [(2, 1)], [], [[3]])             # b = 3: a constant operand
+@example([(1, 1)], [], [(2, 1)], [[1], [0]])  # a = 0: the gcd is b
 def test_gcd_and_squarefree_part_match_sympy(common, only_a, only_b, extra):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -531,6 +547,11 @@ def test_gcd_and_squarefree_part_match_sympy(common, only_a, only_b, extra):
     g = poly_gcd(a, b)
     assert g == _from_sympy(sympy.gcd(_sympy_poly(sympy, a, x), _sympy_poly(sympy, b, x)))
     assert g.coeffs[-1] > 0
+    assert poly_gcd(b, a) == g
+    if a.is_zero:
+        with pytest.raises(ZeroPolynomialError):
+            squarefree_part(a)
+        return
     sf = squarefree_part(a)
     assert sf == _from_sympy(sympy.sqf_part(_sympy_poly(sympy, a, x)))
     assert sf.coeffs[-1] > 0
@@ -596,10 +617,8 @@ def _poly_in_w(h: BivarPoly) -> UniPoly:
 
 def _divides(h: BivarPoly, t: tuple[int, int], root: Fraction) -> bool:
     """Exact check that v^t1 - root*u^t2 divides the quasi-homogeneous h."""
-    phi = _poly_in_w(h)
-    divisor = UniPoly([-root] + [Fraction(0)] * (t[0] - 1) + [Fraction(1)])
-    _, rem = phi.divmod(divisor)
-    return rem.is_zero
+    divisor = [-root] + [Fraction(0)] * (t[0] - 1) + [Fraction(1)]
+    return not _naive_divmod(_poly_in_w(h).coeffs, divisor)[1]
 
 
 def test_factor_test_rational_witnesses_divide_exactly():
