@@ -8,9 +8,11 @@ to the polynomial field
 
 where R* is (u^2+v^2)^d R(u/(u^2+v^2), v/(u^2+v^2)).  In support
 coordinates (field.vector_coefficients) this needs no per-component code:
-a support point (x, y) of X holding (a, b) becomes (a - 2b, -b) at
-(x, y + 2) and (-a, b - 2a) at (x + 2, y), times (u^2 + v^2)^m with the
-circle power m = d + 1 - x - y.  compactify reads X's map and returns the
+a support point (x, y) of X holding (a, b) gives (a - 2b, -b) at (x, y + 2)
+and (-a, b - 2a) at (x + 2, y), each times (u^2 + v^2)^m with the circle
+power m = d + 1 - x - y.  Both land on the same anti-diagonal, so step
+s = 0..m + 1 puts (a - 2b, -b) C(m, s) + (-a, b - 2a) C(m, s - 1) at
+(x + 2s, y + 2(m + 1 - s)).  compactify reads X's map and returns the
 field that keeps b(X)'s map: its p and q are formed only when read.
 
 The behaviour of X in the large is then readable at the origin of b(X):
@@ -44,9 +46,9 @@ def compactify(x_field: PlanarField) -> PlanarField:
     cannot absorb the inversion and the transform degenerates.
 
     In integers over one denominator, a support point (x, y) holding (a, b)
-    puts (a - 2b, -b) at (x, y + 2) and (-a, b - 2a) at (x + 2, y); step
-    s = 0..m of its circle power m = d + 1 - x - y shifts both by
-    (2s, 2(m - s)) with weight C(m, s).
+    with circle power m = d + 1 - x - y puts, at step s = 0..m + 1,
+    (a - 2b, -b) C(m, s) + (-a, b - 2a) C(m, s - 1) at
+    (x + 2s, y + 2(m + 1 - s)), with C(m, -1) = C(m, m + 1) = 0.
     """
     return _transformed(x_field, lower=False)
 
@@ -102,47 +104,27 @@ def _compactified(coeffs: SupportMap, lower: bool) -> dict[Monomial, list[int]]:
     x_max = max((x for x, y in coeffs if y == 0), default=None)
     y_max = max((y for x, y in coeffs if x == 0), default=None)
     hits = (2 * d + 4 - x_max, 2 * d + 4 - y_max) if lower and None not in (x_max, y_max) else None
-    # Rotate, filter and sum in one pass: each rotated point holds [a, b, m, kept s],
-    # or None when no s is kept; spans[m] covers the kept s of circle power m.
-    # The two rotated points of (x, y) reach (x + 2s, y + 2(m + 1 - s)) for
-    # s = 0..m + 1 between them, so a point none of whose s is kept is skipped.
-    rotated: dict[Monomial, Optional[list]] = {}
-    spans: dict[int, list[int]] = {}
-    for (x, y), (a, b) in coeffs.items():
-        m = d + 1 - x - y
-        if hits is not None and not _kept_positions(hits, x, y, m + 1):
-            continue
-        for key, da, db in (((x, y + 2), a - 2 * b, -b), ((x + 2, y), -a, b - 2 * a)):
-            if key not in rotated:
-                kept = _kept_positions(hits, *key, m)
-                rotated[key] = [0, 0, m, kept] if kept else None
-                if kept:
-                    span = spans.setdefault(m, [kept.start, kept.stop])
-                    span[0], span[1] = min(span[0], kept.start), max(span[1], kept.stop)
-            acc = rotated[key]
-            if acc is not None:
-                acc[0] += da
-                acc[1] += db
-    # The row C(m, s) from the first kept s: near an axis hit that is near m.
-    circles: dict[int, tuple[int, list[tuple[int, int, int]]]] = {}
-    for m, (first, stop) in spans.items():
-        circle, w = [], comb(m, first)
-        for s in range(first, stop):
-            circle.append((2 * s, 2 * (m - s), w))
-            w = w * (m - s) // (s + 1)  # C(m, s + 1) = C(m, s) (m - s) / (s + 1)
-        circles[m] = first, circle
+    # The two rotated points of (x, y), (a - 2b, -b) spread from (x, y + 2)
+    # and (-a, b - 2a) from (x + 2, y), meet at (x + 2s, y + 2(m + 1 - s)) with
+    # weights C(m, s) and C(m, s - 1): one sweep over the kept s = 0..m + 1,
+    # its weights formed from the first kept s, which near an axis hit is near m.
     out: dict[Monomial, list[int]] = {}
     get = out.get
-    for (x, y), point in rotated.items():
-        if point is None:
+    for (x, y), (a, b) in coeffs.items():
+        m = d + 1 - x - y
+        kept = _kept_positions(hits, x, y, m + 1)
+        if not kept:
             continue
-        a, b, m, s = point
-        first, circle = circles[m]
-        for dx, dy, w in circle[s.start - first:s.stop - first]:
-            acc = get(key := (x + dx, y + dy))
+        a1, b1, a2, b2 = a - 2 * b, -b, -a, b - 2 * a
+        s = kept.start
+        w0, w1 = comb(m, s - 1) if s else 0, comb(m, s)  # C(m, s - 1), C(m, s)
+        for s in kept:
+            da, db = a1 * w1 + a2 * w0, b1 * w1 + b2 * w0
+            acc = get(key := (x + 2 * s, y + 2 * (m + 1 - s)))
             if acc is None:
-                out[key] = [a * w, b * w]
+                out[key] = [da, db]
             else:
-                acc[0] += a * w
-                acc[1] += b * w
+                acc[0] += da
+                acc[1] += db
+            w0, w1 = w1, w1 * (m - s) // (s + 1)  # C(m, s + 1) = C(m, s) (m - s) / (s + 1)
     return {key: ab for key, ab in out.items() if ab[0] or ab[1]}

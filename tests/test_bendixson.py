@@ -19,10 +19,12 @@ from monodroma import (
     hamiltonian_field,
     support,
 )
+from monodroma.bendixson import _compactified
 from monodroma.diagram import newton_chain
-from monodroma.field import support_points
+from monodroma.field import support_points, vector_coefficients
 from monodroma.oracle import diagonal_part, map_degree, pair_component
 
+import reference_compactify
 from genmaps import rand_any_map, rand_homogeneous, rand_poly
 
 X = BivarPoly.monomial(1, 0)
@@ -230,9 +232,19 @@ def _axis_hits(b_field):
     return a_hit, b_hit
 
 
+def _check_reference(x_field):
+    """_compactified equals the per-rotated-point reference expansion as
+    integer maps, in both modes."""
+    coeffs, _ = vector_coefficients(x_field)
+    for lower in (False, True):
+        assert _compactified(coeffs, lower) == reference_compactify.compactified(coeffs, lower)
+
+
 def _check_lower(x_field):
     """compactify_lower keeps exactly the full terms on or below the segment,
-    with their full coefficients, and the full diagram; returns (A, B)."""
+    with their full coefficients, and the full diagram; returns (A, B).
+    Both transforms also equal the reference expansion."""
+    _check_reference(x_field)
     full, lower = compactify(x_field), compactify_lower(x_field)
     a_hit, b_hit = _axis_hits(full)
     assert build_diagram(lower) == build_diagram(full)
@@ -293,6 +305,15 @@ def test_compactify_lower_sums_cancelling_contributions():
     assert _check_lower(field) == (5, 5)
     assert compactify(field).p.coeff(2, 2) == 0
     assert compactify_lower(field).p.coeff(2, 2) == 0
+
+
+@pytest.mark.parametrize("field", [
+    *(hamiltonian_field(X + Y ** n, Y) for n in (50, 200)),
+    *(hamiltonian_field(Y + X ** n, X) for n in (50, 200)),
+])
+def test_compactified_matches_the_reference_on_shared_rotated_keys(field):
+    # The support points (0, 2) and (2, 0) both rotate onto the key (2, 2).
+    _check_reference(field)
 
 
 @pytest.mark.parametrize("f, g", [(X + Y ** 60001, Y), (Y + X ** 60001, X)])

@@ -1,11 +1,15 @@
-"""Check that every installed Python gives the same certificates.
+"""Check that every installed Python gives the same certificates and b(X).
 
 For each of python3.10 to python3.13 found on PATH, a child interpreter
 generates the ``random_maps``, ``high_degree`` and ``big_coeffs`` corpora of
 ``bench/workloads.py`` at seeds 1 and 29, certifies every map from this
 checkout's ``src``, and hashes the certificates without ``timings_ms``: one
 line ``<id>\\t<certificate as sorted compact JSON>`` per map, the form of the
-benchmark's output digest.  An interpreter that is not installed is skipped.
+benchmark's output digest.  Certificates reach only ``compactify_lower``, so
+the child also hashes the full transform on the ``full_field`` corpus at the
+same seeds: one line ``<id>\\t<denominator>\\t<sorted [point, a, b] list>``
+per map, from ``vector_coefficients(compactify(hamiltonian_field(f, g)))``.
+An interpreter that is not installed is skipped.
 
 Usage: python3 tools/cross_python.py
 
@@ -24,20 +28,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 INTERPRETERS = ("python3.10", "python3.11", "python3.12", "python3.13")
-WORKLOADS = ("random_maps", "high_degree", "big_coeffs")
+WORKLOADS = ("random_maps", "high_degree", "big_coeffs", "full_field")
 SEEDS = (1, 29)
 
 _CHILD = """
 import hashlib, json, sys
 import monodroma, workloads
+from monodroma.field import vector_coefficients
+
+def line(workload, text):
+    f, g = monodroma.parse_map(text)
+    if workload == "full_field":
+        coeffs, den = vector_coefficients(monodroma.compactify(monodroma.hamiltonian_field(f, g)))
+        return f"{den}\\t{json.dumps(sorted([pt, a, b] for pt, (a, b) in coeffs.items()))}"
+    doc = monodroma.certify(f, g).to_json_dict()
+    doc.pop("timings_ms", None)
+    return json.dumps(doc, sort_keys=True, separators=(',', ':'))
+
 digests = {}
 for workload in json.loads(sys.argv[1]):
     for seed in json.loads(sys.argv[2]):
         h = hashlib.sha256()
         for case in workloads.generate(workload, seed):
-            doc = monodroma.certify(*monodroma.parse_map(case.text)).to_json_dict()
-            doc.pop("timings_ms", None)
-            h.update(f"{case.id}\\t{json.dumps(doc, sort_keys=True, separators=(',', ':'))}\\n".encode())
+            h.update(f"{case.id}\\t{line(workload, case.text)}\\n".encode())
         digests[f"{workload} seed {seed}"] = h.hexdigest()
 print(json.dumps({"version": sys.version.split()[0], "digests": digests}))
 """
