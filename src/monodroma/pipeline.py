@@ -190,22 +190,22 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
     to the first with det < 0).  The sample is the same on every call, so
     the status is deterministic.
 
-    Only signs are read, in integers, lazily.  The grid goes column by
-    column, every y written as ky/2 over the one denominator 2: on entering
-    a column x = kx/2, det collapses to one integer coefficient per distinct
-    y exponent, O(terms), with the powers of 2 folded in; each point of the
-    column then costs one Horner pass over those exponents in ky,
-    O(distinct y exponents), stepping by their gaps rather than over a
-    dense degree range.  The pseudo-random points go in blocks of 20, all
-    the points of a block at once: a vector of integer values per x
-    exponent and per y row, formed by C-level ``map``.  The powers of the
-    fixed sample coordinates these vectors are built from are kept across
-    calls, one tuple per coordinate vector and exponent, formed on first
-    use; only exponents up to ``_POWER_CAP`` are kept, so a det such as
-    x^40000 - 2x^20000 + 2 forms its high powers afresh on every call and
-    keeps none of them past it.  A block of one sign
-    is settled by its minimum and maximum; only a mixed block is scanned
-    point by point.
+    Only signs are read, in integers, lazily.  The grid is read at the
+    integer points (kx, ky) of the doubled grid: det's numerators are scaled
+    once per call, n_ij by 2^(dx - i + dy - j), so a column x = kx/2
+    collapses to one integer per distinct y exponent, O(terms), and each of
+    its points costs one Horner pass in ky down to y^0, O(distinct y
+    exponents), stepping by the gaps between them.  That value is exactly
+    2^(dx + dy) den det(kx/2, ky/2), so a zero and the signs are read off
+    it.  The pseudo-random points go in blocks of 20, all the points of a
+    block at once: a vector of integer values per x exponent and per y row,
+    formed by C-level ``map``.  The powers of the fixed sample coordinates
+    these vectors are built from are kept across calls, one tuple per
+    coordinate vector and exponent, formed on first use; only exponents up
+    to ``_POWER_CAP`` are kept, so a det such as x^40000 - 2x^20000 + 2
+    forms its high powers afresh on every call and keeps none of them past
+    it.  A block of one sign is settled by its minimum and maximum; only a
+    mixed block is scanned point by point.
     """
     if det.is_zero:
         return DetStatus(VANISHES, witness=(Fraction(0), Fraction(0)),
@@ -222,28 +222,26 @@ def det_nonvanishing_heuristic(det: BivarPoly) -> DetStatus:
         rows.setdefault(j, []).append((i, n))
     x_exps = {i for i, _ in num}
     dx, dy = max(x_exps), max(rows)
-    y_exps = sorted(rows, reverse=True)
+    # The terms (i, n_ij 2^(dx - i + dy - j)) by y exponent j, high to low.
+    grid = {j: [(i, n << (dx - i + dy - j)) for i, n in rows[j]] for j in sorted(rows, reverse=True)}
     positive: Optional[Point] = None
     negative: Optional[Point] = None
     for kx, column in _GRID_COLUMNS:
-        # 2^(dx + dy) den det(kx/2, y) = sum over j of C_j (2y)^j.
-        xs = {i: kx**i << (dx - i) for i in x_exps}
-        coeffs = [(j, cj << (dy - j)) for j in y_exps
-                  if (cj := sum(n * xs[i] for i, n in rows[j]))]
-        if not coeffs:
-            return _zero_found(column[0])
-        lead, low = coeffs[0][1], coeffs[-1][0]
-        steps = [(prev - j, cj) for (prev, _), (j, cj) in zip(coeffs, coeffs[1:])]
+        # 2^(dx + dy) den det(kx/2, ky/2), of det's sign as den > 0, is the
+        # sum over j of C_j ky^j: Horner over the kept j, then down to j = 0.
+        xs = {i: kx**i for i in x_exps}
+        steps, prev = [], dy
+        for j, terms in grid.items():
+            if cj := sum(n * xs[i] for i, n in terms):
+                steps.append((prev - j, cj))
+                prev = j
+        if prev:
+            steps.append((prev, 0))
         for point, ky in zip(column, _HALVES):
-            # Horner over the kept j, high to low, stepping by their gaps:
-            # sum_j C_j ky^j = ky^low * acc.  den is positive, so det(x, y)
-            # has the sign of that.
-            acc = lead
+            acc = 0
             for gap, cj in steps:
                 acc = acc * ky**gap + cj
-            if ky < 0 and low & 1:
-                acc = -acc
-            if acc == 0 or (ky == 0 and low):
+            if acc == 0:
                 return _zero_found(point)
             if acc > 0:
                 positive = positive or point

@@ -23,9 +23,14 @@ keeps, so the two statuses may differ; what must not happen is a proof
 one way and a zero the other: Injective for one map and VanishesAt for its
 mirror.  Where both certificates reach the monodromy stage, its outcome is
 equal too: a mirror of the plane keeps whether the origin is monodromic.
+
+The strategies draw only small maps, so one test also runs R1 to R3 on
+every map of the benchmark's seed-1 check corpora, read from
+bench/workloads.py.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -65,6 +70,11 @@ def test_rotating_the_target_keeps_the_certificate(f, g, plus_identity):
     # Injective verdicts, far more likely.
     if plus_identity:
         f, g = f + X, g + Y
+    check_rotation(f, g)
+
+
+def check_rotation(f: BivarPoly, g: BivarPoly) -> None:
+    """R1: rotating the target keeps the certificate."""
     for assume_det in (False, True):
         assert evidence(*rotated(f, g), assume_det) == evidence(f, g, assume_det)
 
@@ -85,6 +95,11 @@ def verdicts(f: BivarPoly, g: BivarPoly) -> tuple[str, str, str | None]:
 def test_swapping_negating_or_scaling_the_target_keeps_the_verdict(f, g, plus_identity):
     if plus_identity:
         f, g = f + X, g + Y
+    check_target_images(f, g)
+
+
+def check_target_images(f: BivarPoly, g: BivarPoly) -> None:
+    """R2: swapping, negating or scaling the target keeps the verdict."""
     expected = verdicts(f, g)
     for image in ((g, f), (-f, g), (f * 7, g * 7)):
         assert verdicts(*image) == expected
@@ -107,6 +122,11 @@ _MIRRORS = (
 def test_mirroring_the_input_never_turns_a_proof_into_a_zero(f, g, plus_identity):
     if plus_identity:
         f, g = f + X, g + Y
+    check_mirrors(f, g)
+
+
+def check_mirrors(f: BivarPoly, g: BivarPoly) -> None:
+    """R3: no mirror of the input turns a proof into a zero."""
     text = f"f = {f.to_string()}; g = {g.to_string()}"
     verdict, status, outcome = verdicts(f, g)
     for edit, mirror in _MIRRORS:
@@ -119,3 +139,18 @@ def test_mirroring_the_input_never_turns_a_proof_into_a_zero(f, g, plus_identity
         # The origin's monodromy is a property of the mirrored field too.
         if outcome and mirrored_outcome:
             assert mirrored_outcome == outcome
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_relations_hold_on_the_seed_1_check_corpora(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    for workload in ("random_maps", "high_degree", "big_coeffs"):
+        for case in workloads.generate(workload, 1):
+            f, g = parse_map(case.text)
+            check_rotation(f, g)
+            check_target_images(f, g)
+            check_mirrors(f, g)

@@ -268,6 +268,8 @@ def _clear_power_caches() -> None:
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(hst.one_of(_dets, _sparse_dets, _capped_dets, _planted_dets, _planted_point_zeros))
 @example(parse_poly("x*y^3 - y"))  # zero on the y = 0 row through the trailing y factor
+@example(parse_poly("(2*x + 7)*(y^2 + 1)"))  # zero on the whole column x = -7/2, first at (-7/2, -5)
+@example(parse_poly("y^2*(x - 1/3)"))  # zero on y = 0 through an even power of y
 @example(parse_poly("x*y^3 - 1"))
 @example(parse_poly("(x^100 - y^100)^2 + 1"))
 @example(parse_poly("(y^300 - x)^2 + 1"))
