@@ -403,6 +403,3 @@ def quasi_type(t1: int, t2: int) -> QuasiType:
         raise ValueError(f"quasi-homogeneity type {(t1, t2)} is not coprime")
     return (t1, t2)
 
-
-X = BivarPoly.monomial(1, 0)
-Y = BivarPoly.monomial(0, 1)

@@ -1,13 +1,14 @@
 """Every package function either runs on a command-line path or is listed.
 
 A fresh interpreter records, with ``sys.setprofile``, each package function
-that is called while ``cli.main`` imports the package and runs every
-subcommand on a few fixed maps, ``diagram --svg`` and three error exits
-included.  A function that never runs must be named in
-``reachability_allowlist.txt`` with its reader: ``public API``,
-``oracle.py``, ``bench/``, or ``error path`` and the test that takes it.
-``oracle.py`` itself, the numeric cross-check, is not scanned, and neither
-is ``check --with-oracle``, which needs numpy.
+that is called while ``cli.main`` imports the package, runs the table of
+command-line runs in ``cli_runs.py`` that ``test_cli.py`` checks, all but
+the time-bounded ones, and then writes ``diagram --svg``.  A function that
+never runs must be named in ``reachability_allowlist.txt`` with its reader:
+``public API``, ``oracle.py``, ``bench/``, or ``error path`` and the test
+that takes it.  ``oracle.py`` itself, the numeric cross-check, is not
+scanned, and neither is ``check --with-oracle``, which needs numpy and
+stays out of the table.
 
 Functions are keyed by file, first line and name, the fields a code object
 carries on every Python from 3.10 on; the module's syntax tree turns a key
@@ -22,43 +23,15 @@ import sys
 from pathlib import Path
 
 import monodroma
+from cli_runs import README_MAP, RUNS
 
 PACKAGE = Path(monodroma.__file__).resolve().parent
 ALLOWLIST = Path(__file__).with_name("reachability_allowlist.txt")
 READERS = ("public API", "oracle.py", "bench/", "error path")
 NOT_SCANNED = {"oracle.py"}
-
-README_MAP = "f = x + x^3; g = y + x^2"
-UNKNOWN_DET = "f = x + x^3 + 3*x*y^2; g = y + 3*x^2*y + y^3"
-SIGN_CHANGE_DET = "f = x - x^3; g = y"
-TRIANGULAR = "f = x + (y + x^2)^3; g = y + x^2"  # condition (d) fails on a rational root
-MONODROMIC = ("P = -u^6*v - 3*u^4*v^3 - 3*u^2*v^5 - v^7 - u^6 + u^2*v^4 - 2*u^2*v^3; "
-              "Q = u^7 + 3*u^5*v^2 + 3*u^3*v^4 + u*v^6 - 2*u^5*v - 2*u^3*v^3 + u^3*v^2 - u*v^4")
-OFF_AXES = ("P = u*v^4 - 2*u^2*v^3 + u^3*v^2 + u^5*v + 3*u^8*v - u*v^7 + u^4*v^3 + 2*u^2*v^5; "
-            "Q = -v^5 + u*v^4 + u^2*v^3 - 2*u^4*v^2 + u^6*v^2")
-
-# Each argument list with its exit code; "{svg}" is replaced by a file path.
-RUNS = [
-    (["check", README_MAP], 0),
-    (["check", "--json", README_MAP], 0),
-    (["check", UNKNOWN_DET], 2),
-    (["check", "--assume-det", UNKNOWN_DET], 0),
-    (["check", "--json", SIGN_CHANGE_DET], 3),
-    (["check", "f = x^2; g = y"], 3),
-    (["check", "--json", TRIANGULAR], 2),
-    (["diagram", README_MAP], 0),
-    (["diagram", "--svg", "{svg}", README_MAP], 0),
-    (["monodromy", MONODROMIC], 0),
-    (["monodromy", OFF_AXES], 0),
-    (["bendixson", "P = x*y; Q = y^2 + x^3"], 0),
-    (["factor-test", "--type", "1,1", "v^2 - 2*u^2"], 0),
-    (["factor-test", "--type", "1,1", "2*v - 3*u"], 0),
-    (["factor-test", "--type", "1,1", "v^4 - u^2*v^2 + u^4"], 0),
-    (["factor-test", "--type", "3,1", "v^6 + 5*u^2"], 0),
-    (["check", "f = x^; g = y"], 1),
-    (["factor-test", "--type", "x", "u"], 1),
-    (["check"], 1),
-]
+# The time-bounded runs take paths that the others take too, and under the
+# profiler the sparse edge's Sturm values, 200001 terms each, take seconds.
+UNBOUNDED = [run for run in RUNS if run.timeout is None]
 
 # Runs in a fresh interpreter so that import-time calls count and no other
 # test's state (the determinant sample's power cache) changes what runs.
@@ -119,13 +92,14 @@ def _allowlist() -> dict[str, str]:
 
 
 def _record_calls(tmp_path) -> set[tuple[str, int, str]]:
-    runs = [[a.format(svg=tmp_path / "diagram.svg") for a in argv] for argv, _ in RUNS]
+    svg = tmp_path / "diagram.svg"
+    runs = [run.argv for run in UNBOUNDED] + [("diagram", "--svg", str(svg), README_MAP)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent)] + sys.path))
     done = subprocess.run([sys.executable, "-c", _RECORDER, str(PACKAGE)], input=json.dumps(runs),
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     out = json.loads(done.stdout)
-    assert out["codes"] == [code for _, code in RUNS]
-    assert (tmp_path / "diagram.svg").read_text(encoding="utf-8").startswith("<svg")
+    assert out["codes"] == [run.code for run in UNBOUNDED] + [0]
+    assert svg.read_text(encoding="utf-8").startswith("<svg")
     return {tuple(key) for key in out["called"]}
 
 
